@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Tier-1 gate: formatting, lints, and the root test suite.
+# Tier-1 gate: formatting, lints, the root and member-crate test suites.
 # Run from the repository root. Fails fast on the first broken step.
 set -eu
 
@@ -11,6 +11,12 @@ cargo clippy --all-targets -- -D warnings
 
 echo "== cargo test (tier-1)"
 cargo test -q
+
+echo "== cargo test --workspace (member-crate suites)"
+# The root package's tests above never reach the member crates' own
+# suites: the xvc-rel property tests (prop_batch, prop_plan, prop_index,
+# prop_engine), xvc-view's engine tests and every crate's unit tests.
+cargo test --workspace -q
 
 echo "== xvc check (examples must be error-free)"
 cargo build --release --quiet --bin xvc

@@ -116,6 +116,12 @@ impl Database {
             p.expect_keyword("VALUES")?;
             let rows = p.values_list()?;
             p.finish()?;
+            // All-or-nothing: every row is validated before any is
+            // stored, so a failing statement leaves the table untouched.
+            let schema = &self.table(&table)?.schema;
+            for row in &rows {
+                schema.check_row(row)?;
+            }
             let mut delta = Delta::new();
             for row in &rows {
                 self.insert(&table, row.clone())?;
@@ -453,6 +459,32 @@ mod tests {
             .execute_dml("INSERT INTO city VALUES ('backwards', 1)")
             .is_err());
         assert!(db.execute_dml("INSERT INTO nope VALUES (1, 'x')").is_err());
+    }
+
+    #[test]
+    fn failing_multi_row_insert_changes_nothing() {
+        let mut db = db();
+        db.create_table(
+            TableSchema::new(
+                "t",
+                vec![
+                    ColumnDef::new("id", ColumnType::Int),
+                    ColumnDef::new("name", ColumnType::Str).not_null(),
+                ],
+            )
+            .unwrap(),
+        );
+        db.execute_dml("INSERT INTO city VALUES (1, 'a')").unwrap();
+        let before = db.clone();
+        for bad in [
+            "INSERT INTO t VALUES (1, 'a'), (2, NULL)",
+            "INSERT INTO city VALUES (2, 'b'), ('three', 'c')",
+            "INSERT INTO city VALUES (2, 'b'), (3)",
+            "INSERT INTO city VALUES (2, 'b'), (3, 'c'), (4, 5)",
+        ] {
+            assert!(db.execute_dml(bad).is_err(), "{bad}");
+            assert_eq!(db, before, "{bad} left rows behind");
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! instead, which is the point: a cached plan fails at publish *setup*,
 //! not on the thousandth tuple.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{HashMap, HashSet};
 
 use crate::ast::{AggFunc, BinOp, ScalarExpr, SelectItem, SelectQuery, TableRef};
@@ -73,6 +73,17 @@ enum PExpr {
     Aggregate {
         func: AggFunc,
         arg: Option<Box<PExpr>>,
+    },
+    /// Batch-only semijoin with the binding relation, standing where a
+    /// lifted `expr = $slot` equality stood: true when `expr` is non-NULL
+    /// and hashes like the slot's value in some binding of the batch. It
+    /// admits every row any binding's equality admits, so the shared
+    /// pipeline drops rows no binding can match before joining them, and
+    /// still evaluates every later predicate on every row a scalar run
+    /// would.
+    InBindings {
+        expr: Box<PExpr>,
+        slot: usize,
     },
 }
 
@@ -162,8 +173,9 @@ pub struct PreparedPlan {
     slots: Vec<(String, String)>,
     options: EvalOptions,
     /// Set-oriented strategy for [`PreparedPlan::execute_batch`],
-    /// precomputed when every slot reference is a separable top-level
-    /// equality (`None` falls back to per-distinct-binding execution).
+    /// precomputed when every slot reference is a separable equality or
+    /// sits in a slot-only EXISTS ([`analyze_batch`]; `None` falls back to
+    /// per-distinct-binding execution).
     batch: Option<BatchPlan>,
     /// A parameterized equality in the root block rides a secondary index:
     /// [`PreparedPlan::execute_batch`] then runs index-nested-loop — one
@@ -227,7 +239,11 @@ pub fn prepare_with(
         );
     }
 
-    let batch = analyze_batch(&root, compiler.slots.len());
+    let batch = if compiler.slots.is_empty() {
+        None
+    } else {
+        analyze_batch(&root)
+    };
     let index_loop = batch.is_some()
         && root
             .from
@@ -509,10 +525,22 @@ fn select_index_access(schema: &TableSchema, pushdown: &[PExpr]) -> Access {
 /// How one deferred equality's row side is computed.
 #[derive(Debug, Clone)]
 enum BatchSide {
-    /// Index into the root block's joined layout.
+    /// Index into the block's joined layout.
     Col(usize),
     /// A constant.
     Lit(Value),
+}
+
+/// Where a deferred equality sat in the block before it was lifted out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum KeyOrigin {
+    /// A scan pushdown of FROM item `i`.
+    Pushdown(usize),
+    /// A pushdown inside FROM item `i`'s derived table, pulled up through
+    /// the table's projection onto the column it outputs.
+    Derived(usize),
+    /// A joined-prefix filter.
+    Prefix,
 }
 
 /// One `row-expr = $var.column` equality lifted out of the shared pipeline
@@ -524,80 +552,329 @@ struct BatchKeySpec {
     /// The slot was written on the left (`$m.x = col`); preserved so the
     /// post-hash recheck evaluates operands in the scalar order.
     slot_first: bool,
+    origin: KeyOrigin,
 }
 
-/// Precomputed set-oriented strategy: the root block with every slot
-/// equality removed (so it runs once, binding-free), plus the deferred
-/// keys that hash-join its rows back to the binding relation.
+impl BatchKeySpec {
+    /// The key's row-side value in `row`, whose first column sits at
+    /// position `offset` of the block's joined layout.
+    fn row_value<'r>(&'r self, row: &'r [Value], offset: usize) -> &'r Value {
+        match &self.row {
+            BatchSide::Col(c) => &row[c - offset],
+            BatchSide::Lit(v) => v,
+        }
+    }
+}
+
+/// A residual `EXISTS (sub)` or `NOT EXISTS (sub)` answered once per
+/// binding instead of once per row: `sub` reads no column of the
+/// enclosing row and every slot in it is a batch key, so a binding's
+/// EXISTS value is "its key group in `sub`'s own shared pipeline is
+/// non-empty after projection".
+#[derive(Debug, Clone)]
+struct ExistsFilter {
+    /// Position in the block's residual list.
+    residual: usize,
+    negated: bool,
+    sub: BatchPlan,
+}
+
+/// Precomputed set-oriented strategy for one block: the block with every
+/// slot equality removed (so its FROM pipeline runs once, binding-free),
+/// the deferred keys that hash-join its rows back to the binding
+/// relation, and the slot-bearing EXISTS residuals that become binding
+/// filters.
 #[derive(Debug, Clone)]
 struct BatchPlan {
     stripped: PlanBlock,
     keys: Vec<BatchKeySpec>,
+    filters: Vec<ExistsFilter>,
 }
 
-/// Decides whether the plan is eligible for the shared-pipeline batch
-/// strategy: every `$var.column` reference in the *entire* plan must be a
-/// top-level `column = $slot` (or `literal = $slot`) conjunct assigned to
-/// a root-block scan pushdown or prefix filter. Preserved (left-outer)
-/// derived tables capture their baseline *after* pushdown, so their
-/// presence disables the rewrite.
-fn analyze_batch(root: &PlanBlock, n_slots: usize) -> Option<BatchPlan> {
-    if n_slots == 0 || root.from.iter().any(|f| f.preserved) {
-        return None;
-    }
-    // (from idx, in-pushdown?, conjunct idx) of every separable equality.
-    let mut take: Vec<(usize, bool, usize)> = Vec::new();
+/// Decides whether a block is eligible for the shared-pipeline batch
+/// strategy. Every `$var.column` reference in the block must be one of:
+///
+/// * a top-level `column = $slot` (or `literal = $slot`) conjunct of a
+///   scan pushdown or prefix filter;
+/// * such a conjunct inside a derived table without aggregation, DISTINCT
+///   or left-outer items whose select list projects the column — it is
+///   pulled up onto that output column, where it commutes with the
+///   block's joins and filters;
+/// * inside a residual `[NOT] EXISTS (sub)` whose `sub` reads no column
+///   of the enclosing row and is itself eligible ([`ExistsFilter`]).
+///
+/// Left-outer padding depends only on a preserved item's own rows,
+/// captured after its pushdown. Keys may therefore sit alongside
+/// preserved items only when there is exactly one and every key comes
+/// from its pushdown or its derived table: a binding's baseline is then
+/// the shared baseline's key group.
+fn analyze_batch(block: &PlanBlock) -> Option<BatchPlan> {
+    let mut stripped = block.clone();
     let mut keys = Vec::new();
-    for (fi, item) in root.from.iter().enumerate() {
-        let offset = item.prev_layout.len();
-        for (ci, c) in item.pushdown.iter().enumerate() {
-            if let Some(k) = slot_equality(c, &item.layout, offset) {
-                keys.push(k);
-                take.push((fi, true, ci));
-            }
-        }
-        for (ci, c) in item.prefix_filters.iter().enumerate() {
-            if let Some(k) = slot_equality(c, &item.joined_layout, 0) {
-                keys.push(k);
-                take.push((fi, false, ci));
-            }
-        }
-    }
-    // Sound only if those equalities are the plan's ONLY slot references
-    // (each carries exactly one): a slot surviving anywhere else —
-    // residuals, nested blocks, projections — still needs per-binding
-    // evaluation.
-    if keys.is_empty() || count_slots_block(root) != keys.len() {
-        return None;
-    }
-    let mut stripped = root.clone();
     for (fi, item) in stripped.from.iter_mut().enumerate() {
-        let mut i = 0;
-        item.pushdown.retain(|_| {
-            let hit = take.contains(&(fi, true, i));
-            i += 1;
-            !hit
-        });
-        let mut i = 0;
-        item.prefix_filters.retain(|_| {
-            let hit = take.contains(&(fi, false, i));
-            i += 1;
-            !hit
-        });
+        let offset = item.prev_layout.len();
+        keys.extend(take_slot_keys(
+            &mut item.pushdown,
+            &item.layout,
+            offset,
+            KeyOrigin::Pushdown(fi),
+            Some,
+        ));
+        keys.extend(take_slot_keys(
+            &mut item.prefix_filters,
+            &item.joined_layout,
+            0,
+            KeyOrigin::Prefix,
+            Some,
+        ));
+        if let PlanSource::Derived(child) = &mut item.source {
+            keys.extend(pull_up_keys(child, offset, KeyOrigin::Derived(fi)));
+        }
         // The stripped pipeline runs binding-free; an access path keyed on
         // a slot would hit UnboundParameter, so it reverts to a full scan.
-        if matches!(&item.access, Access::IndexEq { key, .. } if count_slots_expr(key) > 0) {
-            item.access = Access::FullScan;
-        }
-        // The <= 1 row prefix bound was justified by the (now removed)
+        unkey_access(item);
+        // The <= 1 row prefix bound was justified by the (now lifted)
         // slot pins; the shared pipeline's prefix carries every binding's
         // rows, so it joins by hash like any unbounded prefix.
         item.filter_probe = false;
     }
-    Some(BatchPlan { stripped, keys })
+
+    let mut filters = Vec::new();
+    let mut served = keys.len();
+    for (ri, r) in block.residuals.iter().enumerate() {
+        let (negated, sub) = match r {
+            PExpr::Exists(sub) => (false, sub),
+            PExpr::Not(inner) => match inner.as_ref() {
+                PExpr::Exists(sub) => (true, sub),
+                _ => continue,
+            },
+            _ => continue,
+        };
+        let n = count_slots_block(sub);
+        if n == 0 || !block_is_closed(sub) {
+            continue;
+        }
+        if let Some(sub) = analyze_batch(sub) {
+            served += n;
+            // The filter answers this residual; its copy of the subquery
+            // would never run, so the stripped block drops it.
+            stripped.residuals[ri] = PExpr::Literal(Value::Bool(true));
+            filters.push(ExistsFilter {
+                residual: ri,
+                negated,
+                sub,
+            });
+        }
+    }
+    // Sound only if the keys and filters serve the block's ONLY slot
+    // references: a slot surviving anywhere else — other residuals,
+    // nested blocks, projections — still needs per-binding evaluation.
+    if served == 0 || count_slots_block(block) != served {
+        return None;
+    }
+
+    let preserved: Vec<usize> = (0..block.from.len())
+        .filter(|&i| block.from[i].preserved)
+        .collect();
+    let padding_ok = keys.is_empty()
+        || match preserved.as_slice() {
+            [] => true,
+            [p] => keys.iter().all(
+                |k| matches!(k.origin, KeyOrigin::Pushdown(i) | KeyOrigin::Derived(i) if i == *p),
+            ),
+            _ => false,
+        };
+    padding_ok.then_some(BatchPlan {
+        stripped,
+        keys,
+        filters,
+    })
 }
 
-fn slot_equality(c: &PExpr, layout: &Layout, offset: usize) -> Option<BatchKeySpec> {
+/// Lifts the separable slot equalities out of `conjuncts` as keys, each
+/// replaced in place by its [`PExpr::InBindings`] semijoin. `layout` is
+/// the scope the conjuncts run under, placed at `offset` of the joined
+/// layout; `remap` re-expresses (or rejects, with `None`) a key's row
+/// side, and a rejected equality stays as written.
+fn take_slot_keys(
+    conjuncts: &mut [PExpr],
+    layout: &Layout,
+    offset: usize,
+    origin: KeyOrigin,
+    remap: impl Fn(BatchSide) -> Option<BatchSide>,
+) -> Vec<BatchKeySpec> {
+    let mut keys = Vec::new();
+    for c in conjuncts {
+        let Some(mut key) = slot_equality(c, layout, offset, origin) else {
+            continue;
+        };
+        let Some(row) = remap(key.row.clone()) else {
+            continue;
+        };
+        key.row = row;
+        if let PExpr::Binary { lhs, rhs, .. } = c {
+            let side = if key.slot_first { rhs } else { lhs };
+            let expr = std::mem::replace(side, Box::new(PExpr::Literal(Value::Null)));
+            *c = PExpr::InBindings {
+                expr,
+                slot: key.slot,
+            };
+        }
+        keys.push(key);
+    }
+    keys
+}
+
+/// Lifts `child`'s separable slot equalities out of the derived table,
+/// re-expressed on the output columns that copy their column (the
+/// table's output starts at `offset` of the enclosing layout). Only a
+/// block whose output rows are a row-for-row projection of its joined
+/// rows qualifies; there a filter on an output column commutes with the
+/// table's joins and filters. Equalities on unprojected columns stay.
+fn pull_up_keys(child: &mut PlanBlock, offset: usize, origin: KeyOrigin) -> Vec<BatchKeySpec> {
+    if child.aggregating
+        || child.distinct
+        || !child.group_by.is_empty()
+        || child.from.iter().any(|f| f.preserved)
+    {
+        return Vec::new();
+    }
+    let outputs = output_sources(child);
+    let remap = |side: BatchSide| match side {
+        BatchSide::Col(pos) => outputs
+            .iter()
+            .position(|o| *o == Some(pos))
+            .map(|j| BatchSide::Col(offset + j)),
+        lit @ BatchSide::Lit(_) => Some(lit),
+    };
+    let mut keys = Vec::new();
+    for item in &mut child.from {
+        let inner = item.prev_layout.len();
+        keys.extend(take_slot_keys(
+            &mut item.pushdown,
+            &item.layout,
+            inner,
+            origin,
+            remap,
+        ));
+        keys.extend(take_slot_keys(
+            &mut item.prefix_filters,
+            &item.joined_layout,
+            0,
+            origin,
+            remap,
+        ));
+        unkey_access(item);
+    }
+    keys
+}
+
+/// For each output column of `block`, the joined-layout position it copies
+/// unchanged (`None` for a computed expression).
+fn output_sources(block: &PlanBlock) -> Vec<Option<usize>> {
+    let mut out = Vec::new();
+    for item in &block.select {
+        match item {
+            PlanItem::Star => out.extend((0..block.layout.len()).map(Some)),
+            PlanItem::QualifiedStar(q) => out.extend(
+                block
+                    .layout
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (cq, _))| cq == q)
+                    .map(|(i, _)| Some(i)),
+            ),
+            PlanItem::Expr(e) => out.push(match row_side(e, &block.layout, 0) {
+                Some(BatchSide::Col(i)) => Some(i),
+                _ => None,
+            }),
+        }
+    }
+    out
+}
+
+/// Reverts an index access keyed on a slot to a full scan.
+fn unkey_access(item: &mut PlanFrom) {
+    if matches!(&item.access, Access::IndexEq { key, .. } if count_slots_expr(key) > 0) {
+        item.access = Access::FullScan;
+    }
+}
+
+/// Whether every column `block` reads resolves inside `block` itself — in
+/// its own layouts or those of blocks nested in it — so that it never
+/// reads a row of an enclosing query.
+fn block_is_closed(block: &PlanBlock) -> bool {
+    closed_block(block, &mut Vec::new())
+}
+
+/// `chain` holds the layouts of the enclosing scopes *inside* the block
+/// being checked, innermost last.
+fn closed_block<'a>(b: &'a PlanBlock, chain: &mut Vec<&'a Layout>) -> bool {
+    for item in &b.from {
+        // A derived table runs under its block's parent scope.
+        if let PlanSource::Derived(child) = &item.source {
+            if !closed_block(child, chain) {
+                return false;
+            }
+        }
+        let ok = item
+            .pushdown
+            .iter()
+            .all(|e| closed_expr(e, &item.layout, chain))
+            && item.join_keys.iter().all(|(l, r)| {
+                closed_expr(l, &item.prev_layout, chain) && closed_expr(r, &item.layout, chain)
+            })
+            && item
+                .prefix_filters
+                .iter()
+                .all(|e| closed_expr(e, &item.joined_layout, chain));
+        if !ok {
+            return false;
+        }
+    }
+    let selected = b.select.iter().filter_map(|item| match item {
+        PlanItem::Expr(e) => Some(e),
+        _ => None,
+    });
+    b.residuals
+        .iter()
+        .chain(selected)
+        .chain(&b.group_by)
+        .chain(&b.having)
+        .all(|e| closed_expr(e, &b.layout, chain))
+}
+
+fn closed_expr<'a>(e: &'a PExpr, local: &'a Layout, chain: &mut Vec<&'a Layout>) -> bool {
+    match e {
+        PExpr::Column { qualifier, name } => std::iter::once(local)
+            .chain(chain.iter().copied())
+            .any(|layout| {
+                layout
+                    .iter()
+                    .any(|(q, n)| n == name && qualifier.iter().all(|qq| qq == q))
+            }),
+        PExpr::Slot(_) | PExpr::Literal(_) => true,
+        PExpr::Binary { lhs, rhs, .. } => {
+            closed_expr(lhs, local, chain) && closed_expr(rhs, local, chain)
+        }
+        PExpr::Not(i) | PExpr::IsNull(i) => closed_expr(i, local, chain),
+        PExpr::Aggregate { arg, .. } => arg.iter().all(|a| closed_expr(a, local, chain)),
+        PExpr::Exists(sub) => {
+            chain.push(local);
+            let ok = closed_block(sub, chain);
+            chain.pop();
+            ok
+        }
+        PExpr::InBindings { expr, .. } => closed_expr(expr, local, chain),
+    }
+}
+
+fn slot_equality(
+    c: &PExpr,
+    layout: &Layout,
+    offset: usize,
+    origin: KeyOrigin,
+) -> Option<BatchKeySpec> {
     let PExpr::Binary {
         op: BinOp::Eq,
         lhs,
@@ -606,19 +883,17 @@ fn slot_equality(c: &PExpr, layout: &Layout, offset: usize) -> Option<BatchKeySp
     else {
         return None;
     };
-    match (lhs.as_ref(), rhs.as_ref()) {
-        (PExpr::Slot(s), other) => row_side(other, layout, offset).map(|row| BatchKeySpec {
-            row,
-            slot: *s,
-            slot_first: true,
-        }),
-        (other, PExpr::Slot(s)) => row_side(other, layout, offset).map(|row| BatchKeySpec {
-            row,
-            slot: *s,
-            slot_first: false,
-        }),
-        _ => None,
-    }
+    let (slot, other, slot_first) = match (lhs.as_ref(), rhs.as_ref()) {
+        (PExpr::Slot(s), other) => (*s, other, true),
+        (other, PExpr::Slot(s)) => (*s, other, false),
+        _ => return None,
+    };
+    row_side(other, layout, offset).map(|row| BatchKeySpec {
+        row,
+        slot,
+        slot_first,
+        origin,
+    })
 }
 
 /// Statically resolves the non-slot side of a candidate equality. A column
@@ -689,6 +964,7 @@ fn count_slots_expr(e: &PExpr) -> usize {
         PExpr::Not(i) | PExpr::IsNull(i) => count_slots_expr(i),
         PExpr::Exists(b) => count_slots_block(b),
         PExpr::Aggregate { arg, .. } => arg.as_ref().map_or(0, |a| count_slots_expr(a)),
+        PExpr::InBindings { expr, .. } => count_slots_expr(expr),
     }
 }
 
@@ -786,6 +1062,7 @@ impl PreparedPlan {
             cache: RefCell::new(vec![None; self.slots.len()]),
             options: self.options,
             stats,
+            bindings: &[],
         };
         exec_block(&ctx, &self.root, None)
     }
@@ -811,15 +1088,25 @@ impl PreparedPlan {
     ///
     /// Strategy: the distinct binding tuples (resolved slot values) are
     /// materialized as an in-memory binding relation. When the plan is
-    /// [`batchable`](PreparedPlan::batchable), the already-fused scan
-    /// pipeline runs **once** with the slot equalities removed and its
-    /// rows are hash-joined against the binding relation on the interned
-    /// slot columns (with an exact `=` recheck after the hash match, so
-    /// NULL/NaN semantics match the scalar filters). Otherwise the plan
-    /// executes once per *distinct* binding and the result is replicated
-    /// to duplicate bindings. Environments whose slots cannot be resolved
-    /// are executed scalarly one by one, preserving the scalar path's lazy
-    /// unbound-parameter behaviour.
+    /// [`batchable`](PreparedPlan::batchable), the already-fused FROM
+    /// pipeline runs **once**, each slot equality replaced by a semijoin
+    /// with the batch's binding keys, and its rows are hash-joined against
+    /// the binding relation on the interned slot columns (with an exact
+    /// `=` recheck after the hash match, so NULL/NaN semantics match the
+    /// scalar filters). Slot equalities pulled up out of a derived table
+    /// key on the table's output column; a left-outer table's padding rows
+    /// are rebuilt per binding from the key group of its baseline. Each
+    /// binding's rows then pass the residuals in order. A slot-only `[NOT] EXISTS` residual is a
+    /// binding filter: its subquery's own stripped pipeline runs once per
+    /// batch (on the first binding that reaches it), and a binding's
+    /// EXISTS value is whether its key group there is non-empty after
+    /// projection — which covers GROUP BY, HAVING and implicit
+    /// aggregates. Otherwise the plan executes once per *distinct*
+    /// binding and the result is replicated to duplicate bindings.
+    /// Environments whose slots cannot be resolved are executed scalarly
+    /// one by one, preserving the scalar path's lazy unbound-parameter
+    /// behaviour, and so is any binding whose set-oriented evaluation
+    /// fails, so that the error reported is the scalar one.
     ///
     /// `EvalStats` counters are defined **relative to the scalar path** —
     /// they report physical work actually done, which is the point of
@@ -827,9 +1114,17 @@ impl PreparedPlan {
     ///
     /// * `queries` / `rows_scanned` etc. count one shared pipeline run
     ///   (plus nested blocks per evaluation) instead of one per binding;
-    /// * the binding hash-join itself counts as one `hash_join_builds`
-    ///   with `hash_join_build_rows` = pipeline rows and
-    ///   `hash_join_probe_rows` = distinct resolved bindings;
+    ///   each binding filter adds one run of its subquery's pipeline per
+    ///   batch, so `rows_scanned` counts the subquery's tables once per
+    ///   batch, not once per binding;
+    /// * `exists_evals` counts those subquery runs — one per binding
+    ///   filter per batch, however many bindings consult it — plus the
+    ///   per-row EXISTS evaluations of residuals that are not filters;
+    /// * each binding hash-join (the block's, a baseline's, a filter
+    ///   subquery's) counts as one `hash_join_builds` with
+    ///   `hash_join_build_rows` = its indexed rows (those some binding's
+    ///   keys admit) and `hash_join_probe_rows` = the bindings looked up
+    ///   in it;
     /// * `param_queries` counts distinct binding groups served (scalar
     ///   counts every non-empty-env execution, including duplicates);
     /// * `group_buckets` is bumped per binding group, like the scalar
@@ -848,13 +1143,6 @@ impl PreparedPlan {
             first: usize,
             members: Vec<usize>,
             values: Option<Vec<Value>>,
-        }
-        enum Mode {
-            Fast {
-                rows: Vec<Vec<Value>>,
-                index: HashMap<Vec<Key>, Vec<usize>>,
-            },
-            Scalar,
         }
 
         if envs.is_empty() {
@@ -905,11 +1193,33 @@ impl PreparedPlan {
             }
         }
 
+        // Per slot, the keys the batch's resolved bindings carry: the
+        // semijoin sets of the shared pipeline's `InBindings` filters.
+        let mut bindings: Vec<HashSet<Key>> = vec![HashSet::new(); self.slots.len()];
+        if self.batch.is_some() {
+            for values in order.iter().filter_map(|g| g.values.as_ref()) {
+                for (keys, v) in bindings.iter_mut().zip(values) {
+                    if !v.is_null() {
+                        keys.insert(batch_key_of(v));
+                    }
+                }
+            }
+        }
         let cell = Cell::new(EvalStats::default());
+        let empty = ParamEnv::new();
+        let ctx = ExecCtx {
+            db,
+            env: &empty,
+            slots: &self.slots,
+            cache: RefCell::new(vec![None; self.slots.len()]),
+            options: self.options,
+            stats: &cell,
+            bindings: &bindings,
+        };
 
         // 2. Shared pipeline: one binding-free run of the stripped plan,
         // indexed by the deferred key columns.
-        let mode = match &self.batch {
+        let shared = match &self.batch {
             // Index-nested-loop plans skip the shared pipeline: scalar
             // executions below each probe the index per distinct binding.
             // So do plans whose declared binding bound proves at most one
@@ -922,111 +1232,41 @@ impl PreparedPlan {
                     && order.iter().any(|g| g.values.is_some()) =>
             {
                 let attempt = Cell::new(EvalStats::default());
-                let empty = ParamEnv::new();
-                let shared = {
-                    let ctx = ExecCtx {
-                        db,
-                        env: &empty,
-                        slots: &self.slots,
-                        cache: RefCell::new(vec![None; self.slots.len()]),
-                        options: self.options,
-                        stats: &attempt,
-                    };
-                    exec_source_rows(&ctx, &bp.stripped, None)
+                let actx = ExecCtx {
+                    stats: &attempt,
+                    cache: RefCell::new(vec![None; self.slots.len()]),
+                    ..ctx
                 };
-                match shared {
-                    Ok(rows) => {
-                        let mut index: HashMap<Vec<Key>, Vec<usize>> = HashMap::new();
-                        'row: for (ri, row) in rows.iter().enumerate() {
-                            let mut key = Vec::with_capacity(bp.keys.len());
-                            for k in &bp.keys {
-                                let v = match &k.row {
-                                    BatchSide::Col(c) => &row[*c],
-                                    BatchSide::Lit(v) => v,
-                                };
-                                if v.is_null() {
-                                    continue 'row; // NULL never equi-joins
-                                }
-                                key.push(batch_key_of(v));
-                            }
-                            index.entry(key).or_default().push(ri);
-                        }
-                        let mut s = attempt.get();
-                        s.hash_join_builds += 1;
-                        s.hash_join_build_rows += rows.len() as u64;
-                        s.hash_join_probe_rows +=
-                            order.iter().filter(|g| g.values.is_some()).count() as u64;
-                        attempt.set(s);
-                        let mut c = cell.get();
-                        c.absorb(&attempt.get());
-                        cell.set(c);
-                        Mode::Fast { rows, index }
-                    }
-                    // The stripped pipeline evaluated predicates on rows
-                    // the per-binding filters would have dropped first;
-                    // re-run scalar per group so the error (if still one)
-                    // is the scalar loop's first error.
-                    Err(_) => Mode::Scalar,
+                // The stripped pipeline evaluated predicates on rows the
+                // per-binding filters would have dropped first; on error
+                // every group re-runs scalar so the error (if still one)
+                // is the scalar loop's first error.
+                let run = SharedRun::build(&actx, bp).ok();
+                if run.is_some() {
+                    cell.set(attempt.get());
                 }
+                run
             }
-            _ => Mode::Scalar,
+            _ => None,
         };
 
         // 3. Per distinct binding, in first-occurrence order (which makes
         // the first failing group the scalar loop's first failing env).
         let mut results: Vec<Relation> = Vec::with_capacity(order.len());
         for group in &order {
-            let rel = match (&mode, &group.values) {
-                (Mode::Fast { rows, index }, Some(values)) => {
-                    let bp = self.batch.as_ref().expect("fast mode implies batch plan");
-                    let mut probe = Vec::with_capacity(bp.keys.len());
-                    let mut null_probe = false;
-                    for k in &bp.keys {
-                        let v = &values[k.slot];
-                        if v.is_null() {
-                            null_probe = true;
-                            break;
-                        }
-                        probe.push(batch_key_of(v));
-                    }
-                    let mut matched: Vec<Vec<Value>> = Vec::new();
-                    if !null_probe {
-                        if let Some(hits) = index.get(&probe) {
-                            'cand: for &ri in hits {
-                                let row = &rows[ri];
-                                for k in &bp.keys {
-                                    let rv = match &k.row {
-                                        BatchSide::Col(c) => row[*c].clone(),
-                                        BatchSide::Lit(v) => v.clone(),
-                                    };
-                                    let sv = values[k.slot].clone();
-                                    let (l, r) = if k.slot_first { (sv, rv) } else { (rv, sv) };
-                                    if !eval_binop(BinOp::Eq, &l, &r)?.is_truthy() {
-                                        continue 'cand;
-                                    }
-                                }
-                                matched.push(row.clone());
-                            }
-                        }
-                    }
-                    let rel = {
-                        let empty = ParamEnv::new();
-                        let ctx = ExecCtx {
-                            db,
-                            env: &empty,
-                            slots: &self.slots,
-                            cache: RefCell::new(vec![None; self.slots.len()]),
-                            options: self.options,
-                            stats: &cell,
-                        };
-                        finish_block(&ctx, &bp.stripped, &matched, None)?
-                    };
-                    let mut s = cell.get();
-                    s.param_queries += 1; // slots resolved ⇒ env non-empty
-                    cell.set(s);
+            let fast = match (&shared, &group.values) {
+                (Some(run), Some(values)) => run
+                    .binding_rows(&ctx, values)
+                    .and_then(|rows| finish_block(&ctx, &run.plan.stripped, &rows, None))
+                    .ok(),
+                _ => None,
+            };
+            let rel = match fast {
+                Some(rel) => {
+                    ctx.bump(|s| s.param_queries += 1); // slots resolved ⇒ env non-empty
                     rel
                 }
-                _ => {
+                None => {
                     let env = &envs[group.first];
                     let attempt = Cell::new(EvalStats::default());
                     let rel = self.run(db, env, &attempt)?;
@@ -1034,9 +1274,7 @@ impl PreparedPlan {
                     if !env.is_empty() {
                         s.param_queries += 1;
                     }
-                    let mut c = cell.get();
-                    c.absorb(&s);
-                    cell.set(c);
+                    ctx.bump(|c| c.absorb(&s));
                     rel
                 }
             };
@@ -1092,38 +1330,15 @@ impl PreparedPlan {
                     self.binding_bound
                 );
             }
-            Some(bp) => {
-                let keys: Vec<String> = bp
-                    .keys
-                    .iter()
-                    .map(|k| {
-                        let row = match &k.row {
-                            BatchSide::Col(i) => {
-                                let (q, n) = &self.root.layout[*i];
-                                format!("{q}.{n}")
-                            }
-                            BatchSide::Lit(v) => fmt_literal(v),
-                        };
-                        let (var, col) = &self.slots[k.slot];
-                        format!("{row} = ${var}.{col}")
-                    })
-                    .collect();
-                if self.index_loop {
-                    let _ = writeln!(
-                        out,
-                        "  batch: index-nested-loop — per-binding index \
-                         lookups on ({})",
-                        keys.join(", ")
-                    );
-                } else {
-                    let _ = writeln!(
-                        out,
-                        "  batch: set-oriented — shared pipeline once, \
-                         hash-join binding relation on ({})",
-                        keys.join(", ")
-                    );
-                }
+            Some(bp) if self.index_loop => {
+                let _ = writeln!(
+                    out,
+                    "  batch: index-nested-loop — per-binding index \
+                     lookups on ({})",
+                    describe_keys(bp, &self.slots)
+                );
             }
+            Some(bp) => describe_batch(bp, &self.slots, "  batch: set-oriented — shared", &mut out),
             None if self.slots.is_empty() => {
                 let _ = writeln!(out, "  batch: single shared execution (no binding slots)");
             }
@@ -1206,6 +1421,60 @@ impl BatchResult {
     }
 }
 
+/// Renders a batch plan's deferred keys as `row = $var.column` pairs.
+fn describe_keys(bp: &BatchPlan, slots: &[(String, String)]) -> String {
+    let keys: Vec<String> = bp
+        .keys
+        .iter()
+        .map(|k| {
+            let row = match &k.row {
+                BatchSide::Col(i) => {
+                    let (q, n) = &bp.stripped.layout[*i];
+                    format!("{q}.{n}")
+                }
+                BatchSide::Lit(v) => fmt_literal(v),
+            };
+            let (var, col) = &slots[k.slot];
+            let pulled = if matches!(k.origin, KeyOrigin::Derived(_)) {
+                " [pulled up from derived table]"
+            } else {
+                ""
+            };
+            format!("{row} = ${var}.{col}{pulled}")
+        })
+        .collect();
+    keys.join(", ")
+}
+
+/// Renders the set-oriented operator of `bp` on one line opened by
+/// `lead`, then its binding filters one level deeper.
+fn describe_batch(bp: &BatchPlan, slots: &[(String, String)], lead: &str, out: &mut String) {
+    use std::fmt::Write;
+    let join = if bp.keys.is_empty() {
+        "every binding shares its rows".to_owned()
+    } else {
+        format!(
+            "semijoin + hash-join binding relation on ({})",
+            describe_keys(bp, slots)
+        )
+    };
+    let padding = if bp.stripped.from.iter().any(|f| f.preserved) {
+        " | left-outer padding per binding from the baseline's key group"
+    } else {
+        ""
+    };
+    let _ = writeln!(out, "{lead} pipeline once per batch, {join}{padding}");
+    let pad = " ".repeat(lead.len() - lead.trim_start().len() + 2);
+    for f in &bp.filters {
+        let not = if f.negated { "NOT " } else { "" };
+        let lead = format!(
+            "{pad}binding filter: {not}EXISTS (residual {}) — subquery",
+            f.residual
+        );
+        describe_batch(&f.sub, slots, &lead, out);
+    }
+}
+
 fn fmt_literal(v: &Value) -> String {
     match v {
         Value::Null => "NULL".to_owned(),
@@ -1246,6 +1515,10 @@ fn fmt_pexpr(e: &PExpr, slots: &[(String, String)]) -> String {
                 None => "*".to_owned(),
             };
             format!("{func:?}({inner})").to_uppercase()
+        }
+        PExpr::InBindings { expr, slot } => {
+            let (v, c) = &slots[*slot];
+            format!("{} IN bindings(${v}.{c})", fmt_pexpr(expr, slots))
         }
     }
 }
@@ -1340,6 +1613,9 @@ struct ExecCtx<'a> {
     cache: RefCell<Vec<Option<Result<Value>>>>,
     options: EvalOptions,
     stats: &'a Cell<EvalStats>,
+    /// Per slot, the keys of the batch's bindings that
+    /// [`PExpr::InBindings`] tests against (empty outside a batch).
+    bindings: &'a [HashSet<Key>],
 }
 
 impl ExecCtx<'_> {
@@ -1406,6 +1682,13 @@ fn p_eval_scalar(ctx: &ExecCtx<'_>, e: &PExpr, scope: &Scope<'_>) -> Result<Valu
             Ok(Value::Bool(!rel.is_empty()))
         }
         PExpr::Aggregate { .. } => Err(Error::MisplacedAggregate),
+        PExpr::InBindings { expr, slot } => {
+            let v = p_eval_scalar(ctx, expr, scope)?;
+            Ok(Value::Bool(match ctx.bindings.get(*slot) {
+                Some(keys) => !v.is_null() && keys.contains(&batch_key_of(&v)),
+                None => true,
+            }))
+        }
     }
 }
 
@@ -1497,17 +1780,37 @@ fn exec_block(
 
 /// FROM + WHERE: scans (with fused pushdown), joins, prefix filters,
 /// residuals and preserved-side padding — everything up to (but excluding)
-/// projection. The batch executor runs this once and projects per binding.
+/// projection.
 fn exec_source_rows(
     ctx: &ExecCtx<'_>,
     block: &PlanBlock,
     parent: Option<&Scope<'_>>,
 ) -> Result<Vec<Vec<Value>>> {
+    let (mut rows, baselines) = exec_joined_rows(ctx, block, parent)?;
+    for pred in &block.residuals {
+        p_apply_residual(ctx, &mut rows, &block.layout, pred, parent)?;
+    }
+    for (offset, width, baseline) in &baselines {
+        pad_preserved(&mut rows, block.layout.len(), *offset, *width, baseline);
+    }
+    Ok(rows)
+}
+
+/// Preserved-side baseline: (offset, width, rows after pushdown).
+type Baseline = (usize, usize, Vec<Vec<Value>>);
+
+/// FROM: scans (with fused pushdown), joins and prefix filters, plus the
+/// preserved-side baselines that left-outer padding needs. The batch
+/// executor runs this once and finishes the rows per binding.
+fn exec_joined_rows(
+    ctx: &ExecCtx<'_>,
+    block: &PlanBlock,
+    parent: Option<&Scope<'_>>,
+) -> Result<(Vec<Vec<Value>>, Vec<Baseline>)> {
     ctx.bump(|s| s.queries += 1);
 
     let mut work: Option<Vec<Vec<Value>>> = None;
-    // Preserved-side baselines: (offset, width, rows after pushdown).
-    let mut baselines: Vec<(usize, usize, Vec<Vec<Value>>)> = Vec::new();
+    let mut baselines: Vec<Baseline> = Vec::new();
 
     for item in &block.from {
         let rows = match &item.source {
@@ -1596,7 +1899,7 @@ fn exec_source_rows(
 
         let mut joined = match work.take() {
             None => rows,
-            Some(prev) => p_join(ctx, &prev, &rows, item, parent)?,
+            Some(prev) => p_join(ctx, prev, &rows, item, parent)?,
         };
         for p in &item.prefix_filters {
             p_filter_rows(ctx, &mut joined, &item.joined_layout, p, parent)?;
@@ -1606,28 +1909,166 @@ fn exec_source_rows(
 
     // An empty FROM list yields one empty row (the rebind-guard probe
     // shape), exactly like the interpreter.
-    let mut rows = work.unwrap_or_else(|| vec![Vec::new()]);
+    Ok((work.unwrap_or_else(|| vec![Vec::new()]), baselines))
+}
 
-    for pred in &block.residuals {
-        p_apply_residual(ctx, &mut rows, &block.layout, pred, parent)?;
-    }
-
-    // Left-outer padding for preserved derived tables.
-    for (offset, width, baseline) in &baselines {
-        let present: HashSet<Vec<Key>> = rows
-            .iter()
-            .map(|r| r[*offset..offset + width].iter().map(key_of).collect())
-            .collect();
-        for b in baseline {
-            let key: Vec<Key> = b.iter().map(key_of).collect();
-            if !present.contains(&key) {
-                let mut row = vec![Value::Null; block.layout.len()];
-                row[*offset..offset + width].clone_from_slice(b);
-                rows.push(row);
-            }
+/// Left-outer padding for a preserved derived table: appends every
+/// baseline row that no row carries at `offset`, NULL-extended to `total`
+/// columns.
+fn pad_preserved<'r>(
+    rows: &mut Vec<Vec<Value>>,
+    total: usize,
+    offset: usize,
+    width: usize,
+    baseline: impl IntoIterator<Item = &'r Vec<Value>>,
+) {
+    let present: HashSet<Vec<Key>> = rows
+        .iter()
+        .map(|r| r[offset..offset + width].iter().map(key_of).collect())
+        .collect();
+    for b in baseline {
+        let key: Vec<Key> = b.iter().map(key_of).collect();
+        if !present.contains(&key) {
+            let mut row = vec![Value::Null; total];
+            row[offset..offset + width].clone_from_slice(b);
+            rows.push(row);
         }
     }
-    Ok(rows)
+}
+
+/// One batch's binding-free run of a [`BatchPlan`]: the stripped block's
+/// joined rows (before residuals and padding) and its preserved-side
+/// baselines, each indexed on the deferred key values, plus — run on the
+/// first binding that reaches them — its binding filters' own runs.
+struct SharedRun<'p> {
+    plan: &'p BatchPlan,
+    rows: KeyedRows,
+    baselines: Vec<(usize, usize, KeyedRows)>,
+    filters: Vec<OnceCell<Result<SharedRun<'p>>>>,
+}
+
+/// Rows hash-indexed on a [`BatchPlan`]'s key values.
+struct KeyedRows {
+    rows: Vec<Vec<Value>>,
+    /// Position of the rows' first column in the block's joined layout.
+    offset: usize,
+    index: HashMap<Vec<Key>, Vec<usize>>,
+}
+
+impl KeyedRows {
+    fn new(ctx: &ExecCtx<'_>, rows: Vec<Vec<Value>>, keys: &[BatchKeySpec], offset: usize) -> Self {
+        let mut index: HashMap<Vec<Key>, Vec<usize>> = HashMap::new();
+        'row: for (ri, row) in rows.iter().enumerate() {
+            let mut key = Vec::with_capacity(keys.len());
+            for k in keys {
+                let v = k.row_value(row, offset);
+                if v.is_null() {
+                    continue 'row; // NULL never equi-joins
+                }
+                key.push(batch_key_of(v));
+            }
+            index.entry(key).or_default().push(ri);
+        }
+        ctx.bump(|s| {
+            s.hash_join_builds += 1;
+            s.hash_join_build_rows += rows.len() as u64;
+        });
+        KeyedRows {
+            rows,
+            offset,
+            index,
+        }
+    }
+
+    /// The rows whose keys equal the binding's slot `values`, in row
+    /// order, each rechecked with the exact scalar `=`.
+    fn group<'r>(
+        &'r self,
+        ctx: &ExecCtx<'_>,
+        keys: &[BatchKeySpec],
+        values: &[Value],
+    ) -> Result<Vec<&'r Vec<Value>>> {
+        ctx.bump(|s| s.hash_join_probe_rows += 1);
+        let mut probe = Vec::with_capacity(keys.len());
+        for k in keys {
+            let v = &values[k.slot];
+            if v.is_null() {
+                return Ok(Vec::new());
+            }
+            probe.push(batch_key_of(v));
+        }
+        let mut out = Vec::new();
+        'cand: for &ri in self.index.get(&probe).into_iter().flatten() {
+            let row = &self.rows[ri];
+            for k in keys {
+                let (rv, sv) = (k.row_value(row, self.offset), &values[k.slot]);
+                let (l, r) = if k.slot_first { (sv, rv) } else { (rv, sv) };
+                if !eval_binop(BinOp::Eq, l, r)?.is_truthy() {
+                    continue 'cand;
+                }
+            }
+            out.push(row);
+        }
+        Ok(out)
+    }
+}
+
+impl<'p> SharedRun<'p> {
+    fn build(ctx: &ExecCtx<'_>, plan: &'p BatchPlan) -> Result<Self> {
+        let (rows, baselines) = exec_joined_rows(ctx, &plan.stripped, None)?;
+        Ok(SharedRun {
+            plan,
+            rows: KeyedRows::new(ctx, rows, &plan.keys, 0),
+            baselines: baselines
+                .into_iter()
+                .map(|(offset, width, rows)| {
+                    (offset, width, KeyedRows::new(ctx, rows, &plan.keys, offset))
+                })
+                .collect(),
+            filters: plan.filters.iter().map(|_| OnceCell::new()).collect(),
+        })
+    }
+
+    /// The rows one binding's scalar execution reaches projection with:
+    /// its key group, the residuals in order — binding filters answered
+    /// from their subqueries' shared runs — and left-outer padding from
+    /// the key groups of the baselines.
+    fn binding_rows(&self, ctx: &ExecCtx<'_>, values: &[Value]) -> Result<Vec<Vec<Value>>> {
+        let block = &self.plan.stripped;
+        let mut rows: Vec<Vec<Value>> = self
+            .rows
+            .group(ctx, &self.plan.keys, values)?
+            .into_iter()
+            .cloned()
+            .collect();
+        for (ri, pred) in block.residuals.iter().enumerate() {
+            if rows.is_empty() {
+                break; // the scalar path evaluates nothing on no rows
+            }
+            let Some(fi) = self.plan.filters.iter().position(|f| f.residual == ri) else {
+                p_apply_residual(ctx, &mut rows, &block.layout, pred, None)?;
+                continue;
+            };
+            let filter = &self.plan.filters[fi];
+            let sub = self.filters[fi]
+                .get_or_init(|| {
+                    ctx.bump(|s| s.exists_evals += 1);
+                    SharedRun::build(ctx, &filter.sub)
+                })
+                .as_ref()
+                .map_err(Error::clone)?;
+            let sub_rows = sub.binding_rows(ctx, values)?;
+            let exists = !finish_block(ctx, &filter.sub.stripped, &sub_rows, None)?.is_empty();
+            if exists == filter.negated {
+                rows.clear();
+            }
+        }
+        for (offset, width, baseline) in &self.baselines {
+            let group = baseline.group(ctx, &self.plan.keys, values)?;
+            pad_preserved(&mut rows, block.layout.len(), *offset, *width, group);
+        }
+        Ok(rows)
+    }
 }
 
 /// Projection (plain or grouped), HAVING and DISTINCT over the joined and
@@ -1722,9 +2163,11 @@ fn p_apply_residual(
     Ok(())
 }
 
+/// Joins the prefix rows (consumed: each one moves into its last joined
+/// row instead of being cloned) with the next item's rows.
 fn p_join(
     ctx: &ExecCtx<'_>,
-    prev_rows: &[Vec<Value>],
+    prev_rows: Vec<Vec<Value>>,
     next_rows: &[Vec<Value>],
     item: &PlanFrom,
     parent: Option<&Scope<'_>>,
@@ -1732,7 +2175,7 @@ fn p_join(
     if item.join_keys.is_empty() {
         // Cross product.
         let mut rows = Vec::with_capacity(prev_rows.len() * next_rows.len());
-        for a in prev_rows {
+        for a in &prev_rows {
             for b in next_rows {
                 let mut row = a.clone();
                 row.extend(b.iter().cloned());
@@ -1783,7 +2226,7 @@ fn p_join(
             for (pexpr, _) in &item.join_keys {
                 let scope = Scope {
                     layout: &item.prev_layout,
-                    row: a,
+                    row: &a,
                     parent,
                     probe: None,
                 };
@@ -1793,13 +2236,10 @@ fn p_join(
                 }
                 key.push(key_of(&v));
             }
-            for (i, nk) in next_keys.iter().enumerate() {
-                if nk.as_ref() == Some(&key) {
-                    let mut row = a.clone();
-                    row.extend(next_rows[i].iter().cloned());
-                    rows.push(row);
-                }
-            }
+            let matches: Vec<usize> = (0..next_keys.len())
+                .filter(|&i| next_keys[i].as_ref() == Some(&key))
+                .collect();
+            push_joined(&mut rows, a, next_rows, &matches);
         }
         return Ok(rows);
     }
@@ -1831,7 +2271,7 @@ fn p_join(
         for (pexpr, _) in &item.join_keys {
             let scope = Scope {
                 layout: &item.prev_layout,
-                row: a,
+                row: &a,
                 parent,
                 probe: None,
             };
@@ -1842,14 +2282,31 @@ fn p_join(
             key.push(key_of(&v));
         }
         if let Some(matches) = index.get(&key) {
-            for &i in matches {
-                let mut row = a.clone();
-                row.extend(next_rows[i].iter().cloned());
-                rows.push(row);
-            }
+            push_joined(&mut rows, a, next_rows, matches);
         }
     }
     Ok(rows)
+}
+
+/// Appends prefix row `a` joined with each matching next row, in order;
+/// `a` itself becomes the last joined row.
+fn push_joined(
+    out: &mut Vec<Vec<Value>>,
+    a: Vec<Value>,
+    next_rows: &[Vec<Value>],
+    matches: &[usize],
+) {
+    let Some((&last, rest)) = matches.split_last() else {
+        return;
+    };
+    for &i in rest {
+        let mut row = a.clone();
+        row.extend(next_rows[i].iter().cloned());
+        out.push(row);
+    }
+    let mut row = a;
+    row.extend(next_rows[last].iter().cloned());
+    out.push(row);
 }
 
 fn p_project_plain(
@@ -2333,6 +2790,55 @@ mod tests {
             "{}",
             slotless.describe()
         );
+    }
+
+    #[test]
+    fn describe_renders_binding_filter_and_pulled_up_key() {
+        let db = hotel_db();
+        let exists = prepare(
+            &parse_query(
+                "SELECT c_id FROM confroom WHERE chotel_id = $s.hotelid \
+                 AND NOT EXISTS (SELECT COUNT(*) FROM hotel \
+                                 WHERE hotelid = $s.hotelid HAVING COUNT(*) > 1)",
+            )
+            .unwrap(),
+            &db.catalog(),
+        )
+        .unwrap();
+        assert!(exists.batchable());
+        let text = exists.describe();
+        assert!(
+            text.contains(
+                "semijoin + hash-join binding relation on (confroom.chotel_id = $s.hotelid)"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains(
+                "binding filter: NOT EXISTS (residual 0) — subquery pipeline once per batch, \
+                 semijoin + hash-join binding relation on (hotel.hotelid = $s.hotelid)"
+            ),
+            "{text}"
+        );
+        assert!(!text.contains("per-distinct-binding"), "{text}");
+
+        let outer = prepare(
+            &parse_query(
+                "SELECT SUM(capacity), TEMP.hotelid FROM confroom, \
+                 OUTER (SELECT * FROM hotel WHERE metro_id = $m.metroid) AS TEMP \
+                 WHERE chotel_id = TEMP.hotelid GROUP BY TEMP.hotelid",
+            )
+            .unwrap(),
+            &db.catalog(),
+        )
+        .unwrap();
+        assert!(outer.batchable());
+        let text = outer.describe();
+        assert!(
+            text.contains("TEMP.metro_id = $m.metroid [pulled up from derived table]"),
+            "{text}"
+        );
+        assert!(text.contains("left-outer padding per binding"), "{text}");
     }
 
     /// `hotel_db` with a hash index on `hotel.metro_id`.

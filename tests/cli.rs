@@ -415,6 +415,31 @@ fn explain_composed_prints_tag_query_plans() {
 }
 
 #[test]
+fn explain_paper_prints_the_decorrelated_batch_operators() {
+    let f = Fixture::new("explain_paper");
+    let paper = |file: &str| format!("{}/examples/files/paper/{file}", env!("CARGO_MANIFEST_DIR"));
+    let (view, xslt, ddl) = (
+        paper("figure1.view"),
+        paper("figure4.xsl"),
+        paper("figure2.sql"),
+    );
+    let (ok, stdout, stderr) = f.run(&["explain", "--view", &view, "--xslt", &xslt, "--ddl", &ddl]);
+    assert!(ok, "{stderr}");
+    // `confroom`: the sibling EXISTS is a binding filter; `result_confstat`:
+    // the OUTER derived table's slot is a pulled-up key. Neither falls back
+    // to one execution per binding.
+    assert!(
+        stdout.contains("binding filter: EXISTS (residual 0) — subquery pipeline once per batch"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("TEMP.metro_id = $m_new.metroid [pulled up from derived table]"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("per-distinct-binding"), "{stdout}");
+}
+
+#[test]
 fn explain_sql_justifies_join_strategy_by_cardinality_bound() {
     let f = Fixture::new("explain_bound");
     // With a declared key, pinning it by equality bounds the join prefix

@@ -267,6 +267,41 @@ fn dml_and_ddl_keep_the_served_document_current() {
 }
 
 #[test]
+fn failed_multi_row_dml_leaves_doc_equal_to_a_fresh_publish() {
+    let db = guide_database();
+    let composed = guide_composed(&db);
+    let expected = Engine::new(&composed)
+        .session()
+        .publish(&db)
+        .expect("reference publish")
+        .document
+        .to_xml();
+
+    let server =
+        Server::start(Engine::new(&composed), db, "127.0.0.1:0", 2).expect("server starts");
+    let mut client = Client::connect(server.addr());
+
+    // The first row is valid, the second does not fit `sight.sid INT`:
+    // the statement fails as a whole and stores neither row.
+    let (status, body) = client.request(
+        "POST",
+        "/dml",
+        "INSERT INTO sight VALUES (98, 1, 'Navy Pier', 0), ('x', 1, 'Bean', 0)",
+    );
+    assert_eq!(status, 400, "bad row accepted: {body}");
+
+    let (status, doc) = client.request("GET", "/doc", "");
+    assert_eq!(status, 200);
+    let (status, fresh) = client.request("GET", "/publish", "");
+    assert_eq!(status, 200);
+    assert_eq!(doc, fresh, "/doc drifted from the database");
+    assert_eq!(fresh, expected, "the failed statement changed the database");
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn streamed_publish_pretty_matches_reference_serializer() {
     let db = guide_database();
     let composed = guide_composed(&db);
