@@ -100,8 +100,9 @@ echo "== figures -- stream smoke (streamed-emission gates, reduced sizes)"
 # and by Session::publish_to, aborting on any byte divergence, on streamed
 # emission >25% slower than materialized at the largest size (both
 # timings share the dominant relational term, so the gate carries its
-# noise), or on a streamed peak-allocation track that grows with document
-# size (it must stay within 2x across the 10x sweep). The greps
+# noise), on a streamed peak-allocation track that grows with document
+# size (it must stay within 2x across the 10x sweep), or on a streamed
+# batch count other than 2 per window of ROOT_WINDOW roots. The greps
 # double-check the written artifact.
 cargo run --release --quiet -p xvc-bench --bin figures -- stream smoke
 if ! grep -q '"emit_streamed_ms"' BENCH_compose.json; then
@@ -114,6 +115,10 @@ if ! grep -q '"emit_materialized_ms"' BENCH_compose.json; then
 fi
 if grep -q '"peak_track_bytes_streamed": 0' BENCH_compose.json; then
     echo "ci.sh: stream study tracked no emission allocations" >&2
+    exit 1
+fi
+if ! grep -q '"batches_executed_streamed"' BENCH_compose.json; then
+    echo "ci.sh: streamed batch counts missing from the stream study" >&2
     exit 1
 fi
 

@@ -57,9 +57,10 @@
 //! materialize-then-serialize and by `Session::publish_to`, across a 10×
 //! document-size sweep at fixed root-subtree size. Streamed bytes must be
 //! identical, streamed emission must not be slower at the largest size,
-//! and the streamed peak-allocation track must stay flat (within 2×)
-//! while the materialized peak grows with the document — any failure
-//! aborts.
+//! the streamed peak-allocation track must stay flat (within 2×) while
+//! the materialized peak grows with the document, and the streamed
+//! publish must run exactly one batch per child view node per window of
+//! `ROOT_WINDOW` roots — any failure aborts.
 
 use std::collections::BTreeSet;
 
@@ -406,7 +407,8 @@ fn main() {
         for r in &trows {
             println!(
                 "{}: emit materialized {:.3} ms vs streamed {:.3} ms ({:.2}x); \
-                 peak {} -> {} bytes ({:.1}x smaller), document {} bytes",
+                 peak {} -> {} bytes ({:.1}x smaller), document {} bytes; \
+                 streamed {} batches, {} rows scanned",
                 r.workload,
                 r.emit_materialized_ms,
                 r.emit_streamed_ms,
@@ -415,6 +417,21 @@ fn main() {
                 r.peak_track_bytes_streamed,
                 r.peak_track_bytes_materialized as f64 / r.peak_track_bytes_streamed as f64,
                 r.doc_bytes,
+                r.batches_executed,
+                r.rows_scanned,
+            );
+            // The study's view has two child view nodes (customer, order)
+            // under the root: one batch each per window of roots.
+            let expected = 2 * r.roots.div_ceil(xvc_view::ROOT_WINDOW);
+            assert_eq!(
+                r.batches_executed,
+                expected,
+                "{}: streamed publish ran {} batches, expected {expected} \
+                 (2 per window of {} roots) — the root pass no longer batches \
+                 across windows",
+                r.workload,
+                r.batches_executed,
+                xvc_view::ROOT_WINDOW
             );
         }
         let (first, last) = (
@@ -437,7 +454,7 @@ fn main() {
         assert!(
             last.peak_track_bytes_streamed <= first.peak_track_bytes_streamed.saturating_mul(2),
             "streamed emission peak grew with document size ({} -> {} bytes across a \
-             10x sweep) — per-task buffer reuse regressed",
+             10x sweep) — per-window buffer reuse regressed",
             first.peak_track_bytes_streamed,
             last.peak_track_bytes_streamed
         );

@@ -802,8 +802,16 @@ pub struct StreamBenchRow {
     pub peak_track_bytes_materialized: u64,
     /// Tracked peak of the streaming path's emission buffers
     /// ([`xvc_view::Streamed::peak_emit_bytes`]): bounded by the largest
-    /// root-level subtree, flat as the document grows.
+    /// window of [`xvc_view::ROOT_WINDOW`] root-level subtrees, flat as
+    /// the document grows.
     pub peak_track_bytes_streamed: u64,
+    /// Number of root elements (regions) of the instance.
+    pub roots: usize,
+    /// Batches the streamed publish executed: one per child view node per
+    /// window of [`xvc_view::ROOT_WINDOW`] roots.
+    pub batches_executed: usize,
+    /// Rows the streamed publish scanned.
+    pub rows_scanned: u64,
 }
 
 /// Sizing for the stream study: a ≥10× document-size sweep at fixed
@@ -890,6 +898,9 @@ pub fn stream_bench(cfg: &ScaleConfig, reps: usize) -> StreamBenchRow {
         emit_streamed_ms,
         peak_track_bytes_materialized,
         peak_track_bytes_streamed: streamed.peak_emit_bytes as u64,
+        roots: cfg.regions,
+        batches_executed: streamed.stats.batches_executed,
+        rows_scanned: streamed.eval.rows_scanned,
     }
 }
 
@@ -905,7 +916,8 @@ pub fn render_stream_objects(rows: &[StreamBenchRow]) -> Vec<String> {
             format!(
                 "  {{\"workload\": \"{}\", \"db_rows\": {}, \"doc_bytes\": {}, \
                  \"emit_materialized_ms\": {:.3}, \"emit_streamed_ms\": {:.3}, \
-                 \"peak_track_bytes_materialized\": {}, \"peak_track_bytes_streamed\": {}}}",
+                 \"peak_track_bytes_materialized\": {}, \"peak_track_bytes_streamed\": {}, \
+                 \"batches_executed_streamed\": {}, \"rows_scanned_streamed\": {}}}",
                 r.workload,
                 r.db_rows,
                 r.doc_bytes,
@@ -913,6 +925,8 @@ pub fn render_stream_objects(rows: &[StreamBenchRow]) -> Vec<String> {
                 r.emit_streamed_ms,
                 r.peak_track_bytes_materialized,
                 r.peak_track_bytes_streamed,
+                r.batches_executed,
+                r.rows_scanned,
             )
         })
         .collect()

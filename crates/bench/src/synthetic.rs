@@ -280,8 +280,8 @@ pub fn needle_view(region_name: &str) -> SchemaTree {
 /// study: *every* region, its customers and their orders. Document size
 /// scales linearly with the region count while each root-level subtree
 /// stays a fixed size — exactly the shape where streamed emission's peak
-/// memory (bounded by the largest subtree) stays flat as the materialized
-/// document grows.
+/// memory (bounded by the largest window of root subtrees) stays flat as
+/// the materialized document grows.
 pub fn all_regions_view() -> SchemaTree {
     let mut v = SchemaTree::new();
     let region = v

@@ -32,6 +32,7 @@
 
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 
 use crate::ast::{AggFunc, BinOp, ScalarExpr, SelectItem, SelectQuery, TableRef};
 use crate::domain::{Card, CardBound};
@@ -1075,7 +1076,7 @@ impl PreparedPlan {
     }
 
     /// [`PreparedPlan::execute_batch_stats`] without counter reporting.
-    pub fn execute_batch(&self, db: &Database, envs: &[ParamEnv]) -> Result<BatchResult> {
+    pub fn execute_batch(&self, db: &Database, envs: &[&ParamEnv]) -> Result<BatchResult> {
         let mut stats = EvalStats::default();
         self.execute_batch_stats(db, envs, &mut stats)
     }
@@ -1136,7 +1137,7 @@ impl PreparedPlan {
     pub fn execute_batch_stats(
         &self,
         db: &Database,
-        envs: &[ParamEnv],
+        envs: &[&ParamEnv],
         stats: &mut EvalStats,
     ) -> Result<BatchResult> {
         struct Group {
@@ -1158,7 +1159,8 @@ impl PreparedPlan {
         // the `slots()` contract.
         let mut order: Vec<Group> = Vec::new();
         let mut by_key: HashMap<String, usize> = HashMap::new();
-        for (i, env) in envs.iter().enumerate() {
+        let mut key = String::new();
+        for (i, &env) in envs.iter().enumerate() {
             let resolved: Result<Vec<Value>> = self
                 .slots
                 .iter()
@@ -1166,15 +1168,14 @@ impl PreparedPlan {
                 .collect();
             match resolved {
                 Ok(values) => {
-                    let mut key = String::new();
+                    key.clear();
                     for v in &values {
-                        key.push_str(&format!("{v:?}"));
-                        key.push('\u{1f}');
+                        let _ = write!(key, "{v:?}\u{1f}");
                     }
-                    if let Some(&g) = by_key.get(&key) {
+                    if let Some(&g) = by_key.get(key.as_str()) {
                         order[g].members.push(i);
                     } else {
-                        by_key.insert(key, order.len());
+                        by_key.insert(key.clone(), order.len());
                         order.push(Group {
                             first: i,
                             members: vec![i],
@@ -1267,7 +1268,7 @@ impl PreparedPlan {
                     rel
                 }
                 None => {
-                    let env = &envs[group.first];
+                    let env = envs[group.first];
                     let attempt = Cell::new(EvalStats::default());
                     let rel = self.run(db, env, &attempt)?;
                     let mut s = attempt.get();
@@ -1287,10 +1288,13 @@ impl PreparedPlan {
             .map(|r| r.columns.clone())
             .unwrap_or_else(|| self.root.columns.clone());
         let mut groups: Vec<Vec<Vec<Value>>> = vec![Vec::new(); envs.len()];
-        for (group, rel) in order.iter().zip(results.iter()) {
-            for &m in &group.members {
+        for (group, rel) in order.iter().zip(results) {
+            // Duplicates get copies; the last member takes the rows.
+            let (&last, dups) = group.members.split_last().expect("groups are non-empty");
+            for &m in dups {
                 groups[m] = rel.rows.clone();
             }
+            groups[last] = rel.rows;
         }
         stats.absorb(&cell.get());
         Ok(BatchResult { columns, groups })
@@ -2654,6 +2658,11 @@ mod tests {
         Ok((out, stats))
     }
 
+    /// Borrows every environment, as `execute_batch` takes them.
+    fn refs(envs: &[ParamEnv]) -> Vec<&ParamEnv> {
+        envs.iter().collect()
+    }
+
     #[test]
     fn batch_fast_path_matches_scalar_loop() {
         let db = hotel_db();
@@ -2668,7 +2677,9 @@ mod tests {
         ];
         let (scalar, _) = scalar_loop(&plan, &db, &envs).unwrap();
         let mut stats = EvalStats::default();
-        let batch = plan.execute_batch_stats(&db, &envs, &mut stats).unwrap();
+        let batch = plan
+            .execute_batch_stats(&db, &refs(&envs), &mut stats)
+            .unwrap();
         assert_eq!(batch.bindings(), envs.len());
         assert_eq!(batch.columns(), &["hotelname".to_owned()]);
         for (i, rel) in scalar.iter().enumerate() {
@@ -2701,7 +2712,9 @@ mod tests {
         ];
         let (scalar, _) = scalar_loop(&plan, &db, &envs).unwrap();
         let mut stats = EvalStats::default();
-        let batch = plan.execute_batch_stats(&db, &envs, &mut stats).unwrap();
+        let batch = plan
+            .execute_batch_stats(&db, &refs(&envs), &mut stats)
+            .unwrap();
         for (i, rel) in scalar.iter().enumerate() {
             assert_eq!(batch.rows_for(i), &rel.rows[..], "binding {i}");
         }
@@ -2719,7 +2732,7 @@ mod tests {
         let scalar_err = scalar_loop(&plan, &db, &envs).unwrap_err();
         let mut stats = EvalStats::default();
         let batch_err = plan
-            .execute_batch_stats(&db, &envs, &mut stats)
+            .execute_batch_stats(&db, &refs(&envs), &mut stats)
             .unwrap_err();
         assert_eq!(format!("{scalar_err:?}"), format!("{batch_err:?}"));
         // Failed batch absorbs nothing.
@@ -2744,7 +2757,7 @@ mod tests {
         let q = parse_query("SELECT hotelname FROM hotel WHERE metro_id=$m.metroid").unwrap();
         let plan = prepare(&q, &db.catalog()).unwrap();
         let envs = vec![metro_param(2, "nyc")];
-        let batch = plan.execute_batch(&db, &envs).unwrap();
+        let batch = plan.execute_batch(&db, &refs(&envs)).unwrap();
         let direct = plan.execute(&db, &envs[0]).unwrap();
         assert_eq!(batch.relation_for(0), direct);
         assert_eq!(batch.into_relations(), vec![direct]);
@@ -2940,7 +2953,7 @@ mod tests {
         let (scalar, _) = scalar_loop(&plan, &indexed, &envs).unwrap();
         let mut stats = EvalStats::default();
         let batch = plan
-            .execute_batch_stats(&indexed, &envs, &mut stats)
+            .execute_batch_stats(&indexed, &refs(&envs), &mut stats)
             .unwrap();
         for (i, rel) in scalar.iter().enumerate() {
             assert_eq!(batch.rows_for(i), &rel.rows[..], "binding {i}");
@@ -3101,7 +3114,9 @@ mod tests {
         let envs = vec![metro_param(2, "nyc")];
         let (scalar, scalar_stats) = scalar_loop(&plan, &db, &envs).unwrap();
         let mut stats = EvalStats::default();
-        let batch = plan.execute_batch_stats(&db, &envs, &mut stats).unwrap();
+        let batch = plan
+            .execute_batch_stats(&db, &refs(&envs), &mut stats)
+            .unwrap();
         assert_eq!(batch.rows_for(0), &scalar[0].rows[..]);
         // No shared pipeline, no binding hash-join: the batch did exactly
         // the scalar loop's work.

@@ -231,7 +231,8 @@ proptest! {
         let plan = prepare(&q, &db.catalog()).unwrap();
         let envs = envs_of(&bindings);
         let mut batch_stats = EvalStats::default();
-        let batch = plan.execute_batch_stats(&db, &envs, &mut batch_stats);
+        let refs: Vec<&ParamEnv> = envs.iter().collect();
+        let batch = plan.execute_batch_stats(&db, &refs, &mut batch_stats);
         match (scalar_loop(&plan, &db, &envs), batch) {
             (Ok((scalar, _)), Ok(batch)) => {
                 prop_assert_eq!(batch.bindings(), envs.len());
@@ -273,7 +274,8 @@ proptest! {
         prop_assert!(!plan.batchable());
         let envs: Vec<ParamEnv> = vs.iter().copied().map(env).collect();
         let mut batch_stats = EvalStats::default();
-        plan.execute_batch_stats(&db, &envs, &mut batch_stats).unwrap();
+        let refs: Vec<&ParamEnv> = envs.iter().collect();
+        plan.execute_batch_stats(&db, &refs, &mut batch_stats).unwrap();
         let (_, reference) = scalar_loop(&plan, &db, &distinct_envs(&vs)).unwrap();
         prop_assert_eq!(batch_stats, reference);
     }
@@ -294,7 +296,8 @@ proptest! {
         prop_assert!(plan.batchable());
         let envs: Vec<ParamEnv> = vs.iter().copied().map(env).collect();
         let mut stats = EvalStats::default();
-        plan.execute_batch_stats(&db, &envs, &mut stats).unwrap();
+        let refs: Vec<&ParamEnv> = envs.iter().collect();
+        plan.execute_batch_stats(&db, &refs, &mut stats).unwrap();
         let distinct = distinct_envs(&vs);
         // Distinct values of `k` select disjoint rows.
         let matched: u64 = distinct
@@ -323,7 +326,8 @@ proptest! {
         prop_assert!(plan.batchable());
         let envs: Vec<ParamEnv> = vs.iter().copied().map(env).collect();
         let mut stats = EvalStats::default();
-        let batch = plan.execute_batch_stats(&db, &envs, &mut stats).unwrap();
+        let refs: Vec<&ParamEnv> = envs.iter().collect();
+        let batch = plan.execute_batch_stats(&db, &refs, &mut stats).unwrap();
         let (scalar, _) = scalar_loop(&plan, &db, &envs).unwrap();
         for (i, rel) in scalar.iter().enumerate() {
             prop_assert_eq!(batch.rows_for(i), &rel.rows[..], "binding {} of {}", i, sql);

@@ -255,7 +255,8 @@ proptest! {
             })
             .collect();
         let mut batch_stats = EvalStats::default();
-        let batch = plan.execute_batch_stats(&db, &envs, &mut batch_stats).unwrap();
+        let refs: Vec<&ParamEnv> = envs.iter().collect();
+        let batch = plan.execute_batch_stats(&db, &refs, &mut batch_stats).unwrap();
         let rels = batch.into_relations();
         prop_assert_eq!(rels.len(), envs.len());
         for (env, got) in envs.iter().zip(&rels) {

@@ -8,9 +8,9 @@
 //! * **fan-out** — element instances per parent instance (the tag query's
 //!   row bound; exactly one for literal and context-copy nodes, at most
 //!   one when an emission guard gates them);
-//! * **per-task instances** — instances inside one root-level subtree
-//!   task (the publisher cuts the document into one task per root
-//!   element, so the task root itself counts as one);
+//! * **per-window instances** — instances inside one window of the
+//!   publish (the publisher cuts the root elements into windows of
+//!   [`ROOT_WINDOW`], so a root-level node counts at most that many);
 //! * **global instances** — instances across the whole document.
 //!
 //! From these fall out the two whole-run bounds the publisher's batched
@@ -24,6 +24,7 @@
 use xvc_rel::facts::{analyze_query, param_key, query_cardinality, FactSet};
 use xvc_rel::{Card, CardBound, Catalog, ScalarExpr, SelectItem, SelectQuery};
 
+use crate::publish::ROOT_WINDOW;
 use crate::schema_tree::{SchemaTree, ViewNodeId};
 
 /// Cardinality bounds for one view node (see module docs).
@@ -31,8 +32,8 @@ use crate::schema_tree::{SchemaTree, ViewNodeId};
 pub struct NodeBounds {
     /// Element instances per parent instance, with its justifying chain.
     pub fan_out: CardBound,
-    /// Instances within one root-level subtree task.
-    pub per_task: Card,
+    /// Instances within one window of [`ROOT_WINDOW`] root elements.
+    pub per_window: Card,
     /// Instances across the whole document.
     pub global: Card,
 }
@@ -59,12 +60,12 @@ impl ViewBounds {
     }
 
     /// Bound on the number of bindings a batched execution of `vid`'s tag
-    /// query (or guard probe) can carry: the per-task instance bound of
+    /// query (or guard probe) can carry: the per-window instance bound of
     /// its parent. Root-level nodes run in the sequential root pass, one
     /// binding at a time.
     pub fn batch_bound(&self, vid: ViewNodeId) -> Card {
         match self.parent_of(vid) {
-            Some(p) => self.node(p).map_or(Card::AtMostOne, |b| b.per_task),
+            Some(p) => self.node(p).map_or(Card::AtMostOne, |b| b.per_window),
             None => Card::AtMostOne,
         }
     }
@@ -110,8 +111,9 @@ pub fn analyze_view_bounds(tree: &SchemaTree, catalog: &Catalog) -> ViewBounds {
     };
     let env = FactSet::new();
     for &child in tree.children(tree.root()) {
-        // One task per root element instance: inside a task the root-level
-        // node has exactly one instance, globally its tag query bounds it.
+        // Windows of ROOT_WINDOW root element instances: inside a window
+        // the root-level node has at most that many, globally its tag
+        // query bounds it.
         visit(
             tree,
             catalog,
@@ -139,7 +141,7 @@ fn visit(
     catalog: &Catalog,
     vid: ViewNodeId,
     env: &FactSet,
-    is_task_root: bool,
+    is_root_level: bool,
     parent_global: Card,
     bounds: &mut ViewBounds,
 ) {
@@ -190,21 +192,24 @@ fn visit(
         }
     }
 
-    let per_task = if is_task_root {
-        // The task is cut per root element instance.
-        Card::AtMostOne
+    let global = parent_global.times(fan_out.card);
+    let per_window = if is_root_level {
+        // A window holds at most ROOT_WINDOW root element instances.
+        match global.as_limit() {
+            Some(k) if k <= ROOT_WINDOW as u64 => global,
+            _ => Card::Bounded(ROOT_WINDOW as u64),
+        }
     } else {
-        let parent_per_task = tree
+        let parent_per_window = tree
             .parent(vid)
             .and_then(|p| bounds.per_node[p.index()].as_ref())
-            .map_or(Card::AtMostOne, |b| b.per_task);
-        parent_per_task.times(fan_out.card)
+            .map_or(Card::AtMostOne, |b| b.per_window);
+        parent_per_window.times(fan_out.card)
     };
-    let global = parent_global.times(fan_out.card);
 
     bounds.per_node[vid.index()] = Some(NodeBounds {
         fan_out,
-        per_task,
+        per_window,
         global,
     });
 
@@ -283,9 +288,10 @@ mod tests {
         assert_eq!(b.node(metro).unwrap().fan_out.card, Card::Unbounded);
         assert_eq!(b.node(hotel).unwrap().fan_out.card, Card::Unbounded);
         assert_eq!(b.node(home).unwrap().fan_out.card, Card::AtMostOne);
-        // Hotel batches over the task root's single instance; home batches
-        // over the task's (unbounded) hotel instances.
-        assert_eq!(b.batch_bound(hotel), Card::AtMostOne);
+        // Hotel batches over a window's (at most ROOT_WINDOW) metro
+        // instances; home batches over the window's (unbounded) hotel
+        // instances.
+        assert_eq!(b.batch_bound(hotel), Card::Bounded(ROOT_WINDOW as u64));
         assert_eq!(b.batch_bound(home), Card::Unbounded);
         assert_eq!(b.max_batch, Card::Unbounded);
         assert_eq!(b.document, Card::Unbounded);
@@ -316,9 +322,9 @@ mod tests {
             "{:?}",
             nb.fan_out.chain
         );
-        // One stat per task (the task root has one instance), but the
+        // One stat per metro, so at most ROOT_WINDOW per window, but the
         // root fans out freely across the document.
-        assert_eq!(nb.per_task, Card::AtMostOne);
+        assert_eq!(nb.per_window, Card::Bounded(ROOT_WINDOW as u64));
         assert_eq!(nb.global, Card::Unbounded);
     }
 

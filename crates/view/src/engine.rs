@@ -161,9 +161,13 @@ impl Engine {
         self.reconfig(|c| c.publish.tracing = on)
     }
 
-    /// Evaluate up to `n` root-level sibling subtrees concurrently within
-    /// one publish. `0` and `1` both mean sequential. Document order and
-    /// all statistics are independent of `n`.
+    /// Evaluate up to `n` windows of [`crate::ROOT_WINDOW`] root-level
+    /// subtrees concurrently within one publish. `0` and `1` both mean
+    /// sequential. The windows are cut before any thread runs, so
+    /// document order and all statistics are independent of `n`. A thread
+    /// takes a whole window, so a document with at most `ROOT_WINDOW`
+    /// root elements runs on one thread whatever `n` is, and one with `r`
+    /// roots uses at most `⌈r / ROOT_WINDOW⌉` threads.
     pub fn parallel(self, n: usize) -> Self {
         self.reconfig(|c| c.publish.parallel = n.max(1))
     }
@@ -413,11 +417,12 @@ impl Session {
     }
 
     /// Streams `v(I)` as compact serialized XML straight into `out`,
-    /// without materializing an output document: each root-level subtree
-    /// is expanded by the same breadth-first batch walk as
-    /// [`Session::publish`] into a small reusable skeleton and serialized
-    /// out as soon as it completes, so peak emission memory is bounded by
-    /// the largest root-level subtree instead of the document. The bytes
+    /// without materializing an output document: each window of
+    /// [`crate::ROOT_WINDOW`] root-level subtrees is expanded by the same
+    /// breadth-first batch walk as [`Session::publish`] into a small
+    /// reusable skeleton and serialized out as soon as it completes, so
+    /// peak emission memory is bounded by the largest window of root
+    /// subtrees instead of the document. The bytes
     /// are identical to `publish(db)?.document.to_xml()` (proptest-gated
     /// across backends and workload presets).
     ///
@@ -437,7 +442,7 @@ impl Session {
     /// to `publish(db)?.document.to_pretty_xml()`. Pretty layout needs
     /// per-element lookahead, so this buffers one top-level element at a
     /// time ([`xvc_xml::PrettyXmlWriter`]) — still bounded by the largest
-    /// root-level subtree, not the document.
+    /// window of root-level subtrees, not the document.
     pub fn publish_pretty_to<W: io::Write>(&mut self, db: &Database, out: W) -> Result<Streamed> {
         self.stream_publish(db, out, true)
     }
@@ -615,7 +620,7 @@ fn ensure_plan(
             match prepare(q, &planner.catalog) {
                 Ok(p) => {
                     // A tag query's batch carries one binding per parent
-                    // instance in the task; the guard probe of the same
+                    // instance in the window; the guard probe of the same
                     // node batches over the same parents.
                     let p = match &planner.bounds {
                         Some(b) => p.with_binding_bound(b.batch_bound(vid)),

@@ -3,18 +3,21 @@
 //! The public entry point is [`crate::Engine`] / [`crate::Session`] (see
 //! the `engine` module); this module holds the execution machinery those
 //! drive: the **plan-cache** types (each node's tag query compiled once
-//! into an [`xvc_rel::PreparedPlan`]), **set-oriented** publishing (a
+//! into an [`xvc_rel::PreparedPlan`]), **set-oriented** publishing (the
+//! root elements cut into windows of [`ROOT_WINDOW`], each expanded by one
 //! breadth-first frontier walk running one
-//! [`xvc_rel::PreparedPlan::execute_batch_stats`] per (view node,
-//! frontier) instead of one execution per parent tuple), a bounded
-//! per-task **result memo** (repeated parent tuples with equal relevant
-//! binding values reuse the child relation), **parallel** sibling-subtree
-//! evaluation (`std::thread::scope`) that keeps document order and
+//! [`xvc_rel::PreparedPlan::execute_batch_stats`] per (view node, wave)
+//! instead of one execution per parent tuple), a bounded per-window
+//! **result memo** (repeated parent tuples with equal relevant binding
+//! values reuse the child relation), **parallel** window evaluation
+//! (`std::thread::scope`) that keeps document order and
 //! thread-count-independent statistics, and the **delta-republish** graft
 //! walk.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -60,11 +63,11 @@ pub struct PublishStats {
     pub memo_hits: usize,
     /// Memoizable executions that had to run the engine.
     pub memo_misses: usize,
-    /// Set-oriented executions: one per (view node, frontier) with at
-    /// least one non-memoized binding. Zero on the scalar path.
+    /// Set-oriented executions: one per (view node, wave) of each window
+    /// with at least one non-memoized binding. Zero on the scalar path.
     pub batches_executed: usize,
     /// Largest number of bindings any single batch carried (merged with
-    /// `max`, not `+`, across subtree tasks).
+    /// `max`, not `+`, across windows).
     pub bindings_per_batch_max: usize,
     /// Rows returned by batched executions and regrouped back to their
     /// parent bindings. Memo-served parents reuse an existing relation
@@ -253,8 +256,17 @@ pub(crate) struct PlanCache {
     pub(crate) plans: HashMap<PlanKey, PlanEntry>,
 }
 
-/// Entries per subtree-task result memo; inserts are skipped beyond this.
+/// Entries per window's result memo; inserts are skipped beyond this.
 const MEMO_CAP: usize = 256;
+
+/// Root-level element instances per window, the unit of work of a
+/// publish. The root instances are cut, in document order, into windows
+/// of this many; each window runs one breadth-first frontier walk whose
+/// wave 0 is its root elements, so every (view node, wave) executes one
+/// batch per window. The streaming path drains one window at a time, so
+/// its emission peak is the largest window of root subtrees. Larger
+/// windows batch more but hold more of the document at once.
+pub const ROOT_WINDOW: usize = 8;
 
 /// Publish-path toggles, fixed per [`crate::Engine`] (see the builder
 /// methods there for what each flag does).
@@ -308,17 +320,17 @@ pub(crate) fn run_delta_republish(
 
 /// Streaming-publish orchestration behind [`crate::Session::publish_to`]:
 /// the batched frontier walk with the arena sink swapped for the reusable
-/// per-task [`Skeleton`], drained into `sink` task by task — serialized
-/// XML is the only output; no document is ever materialized. Returns
-/// `(stats, eval, peak_emit_bytes)` where the peak is the high-water mark
-/// of the skeleton's buffers across tasks (the emission path's whole
-/// retained footprint, bounded by the largest root-level subtree rather
-/// than the document).
+/// per-window [`Skeleton`], drained into `sink` window by window —
+/// serialized XML is the only output; no document is ever materialized.
+/// Returns `(stats, eval, peak_emit_bytes)` where the peak is the
+/// high-water mark of the skeleton's buffers across windows (the emission
+/// path's whole retained footprint, bounded by the largest window of
+/// [`ROOT_WINDOW`] root subtrees rather than the document).
 ///
 /// Caller contract: same as [`run_full_publish`], plus `cfg` is batched
-/// and untraced (the caller handles the materializing fallback). Tasks run
-/// sequentially — bytes leave in document order, so there is nothing to
-/// parallelize ahead of the writer.
+/// and untraced (the caller handles the materializing fallback). Windows
+/// run sequentially — bytes leave in document order, so there is nothing
+/// to parallelize ahead of the writer.
 pub(crate) fn run_stream_publish(
     tree: &SchemaTree,
     plans: &HashMap<PlanKey, PlanEntry>,
@@ -332,15 +344,16 @@ pub(crate) fn run_stream_publish(
 
 impl Run<'_> {
     /// Root pass (always sequential): evaluates root-level guards and tag
-    /// queries, and cuts the document into one task per root element
-    /// instance. The decomposition — and therefore every per-task counter —
-    /// is independent of the thread count *and* of the sink (arena vs
-    /// streaming) the tasks are later drained through. Returns the worker
-    /// that ran the root queries (it carries their stats/eval/trace) and
-    /// the tasks, in document order.
-    fn root_pass<'s>(&self, shared: &'s Shared<'s>) -> Result<(Worker<'s>, Vec<Task>)> {
+    /// queries and lists the root element instances, in document order.
+    /// Callers cut that list into windows of [`ROOT_WINDOW`]; the
+    /// decomposition — and therefore every per-window counter — is
+    /// independent of the thread count *and* of the sink (arena vs
+    /// streaming) the windows are later drained through. Returns the
+    /// worker that ran the root queries (it carries their
+    /// stats/eval/trace) and the root instances.
+    fn root_pass<'s>(&self, shared: &'s Shared<'s>) -> Result<(Worker<'s>, Vec<Root>)> {
         let mut main = Worker::new(shared, HashMap::new());
-        let mut tasks: Vec<Task> = Vec::new();
+        let mut roots: Vec<Root> = Vec::new();
         let mut root_counts: HashMap<String, usize> = HashMap::new();
         let env = ParamEnv::new();
         for &child in self.tree.children(self.tree.root()) {
@@ -366,7 +379,7 @@ impl Run<'_> {
                     main.stats.queries_run += 1;
                     main.stats.tuples_fetched += rel.len();
                     for i in 0..rel.len() {
-                        tasks.push(Task {
+                        roots.push(Root {
                             vid: child,
                             tag: node.tag.clone(),
                             index: seed(&node.tag),
@@ -375,7 +388,7 @@ impl Run<'_> {
                     }
                 }
                 _ => {
-                    tasks.push(Task {
+                    roots.push(Root {
                         vid: child,
                         tag: node.tag.clone(),
                         index: seed(&node.tag),
@@ -384,7 +397,7 @@ impl Run<'_> {
                 }
             }
         }
-        Ok((main, tasks))
+        Ok((main, roots))
     }
 
     /// Evaluates the schema tree against `db`, producing `v(I)` plus
@@ -400,18 +413,18 @@ impl Run<'_> {
             batched: self.cfg.batched,
             collect_splice,
         };
-        let (main, tasks) = self.root_pass(&shared)?;
+        let (main, roots) = self.root_pass(&shared)?;
 
-        let outs = run_tasks(&shared, &tasks, self.cfg.parallel);
+        let outs = run_windows(&shared, &roots, self.cfg.parallel);
 
-        // Deterministic merge, in task (= document) order.
+        // Deterministic merge, in window (= document) order.
         stats.absorb(&main.stats);
         let mut eval = main.eval;
         let mut trace = main.trace;
         let mut builder = TreeBuilder::new();
         let mut splice_parts: Vec<(Document, HashMap<xvc_xml::NodeId, SpliceEntry>)> = Vec::new();
         for out in outs {
-            let out = out.expect("every task slot is filled")?;
+            let out = out?;
             let kids: Vec<_> = out.doc.children(out.doc.root()).to_vec();
             for kid in kids {
                 builder.import(&out.doc, kid);
@@ -425,8 +438,8 @@ impl Run<'_> {
         }
         let document = builder.finish();
         let splice = collect_splice.then(|| {
-            // Task fragments were imported root child by root child, in
-            // task order; `import` deep-copies, so zipping the pre-orders
+            // Window fragments were imported root child by root child, in
+            // window order; `import` deep-copies, so zipping the pre-orders
             // of each fragment subtree with the matching final subtree
             // remaps every recorded node id.
             let mut entries = HashMap::new();
@@ -456,14 +469,16 @@ impl Run<'_> {
         })
     }
 
-    /// Streams `v(I)` into `sink` with no output DOM: the same root pass
-    /// and breadth-first wave machinery as [`Run::full`], but each task's
-    /// elements land in the reusable [`Skeleton`] instead of an arena
-    /// document and are serialized out (document-order DFS) as soon as the
-    /// task's waves are exhausted. Byte output equals
-    /// `full(..).document.to_xml()` through the same [`XmlSink`]; stats
-    /// and eval counters equal the batched materializing path's (the memo
-    /// stays task-scoped, the decomposition is identical).
+    /// Streams `v(I)` into `sink` with no output DOM: the same root pass,
+    /// windows and breadth-first wave machinery as [`Run::full`], but each
+    /// window's elements land in the reusable [`Skeleton`] instead of an
+    /// arena document and are serialized out (document-order DFS) as soon
+    /// as the window's waves are exhausted, so the emission peak is
+    /// bounded by the largest window of [`ROOT_WINDOW`] root subtrees.
+    /// Byte output equals `full(..).document.to_xml()` through the same
+    /// [`XmlSink`]; stats and eval counters equal the batched
+    /// materializing path's (the memo stays window-scoped, the
+    /// decomposition is identical).
     fn stream(
         &self,
         db: &Database,
@@ -479,32 +494,21 @@ impl Run<'_> {
             batched: true,
             collect_splice: false,
         };
-        let (main, tasks) = self.root_pass(&shared)?;
+        let (main, roots) = self.root_pass(&shared)?;
         stats.absorb(&main.stats);
         let mut eval = main.eval;
 
         let mut w = BatchWorker::with_store(&shared, Skeleton::default());
         let mut peak = 0usize;
-        let env = ParamEnv::new();
-        for task in &tasks {
-            // Per-task state resets exactly as a fresh `BatchWorker` would:
-            // the memo is task-scoped (statistics parity with
-            // `run_task_batched`), the skeleton's buffers are drained but
+        for window in roots.chunks(ROOT_WINDOW) {
+            // Per-window state resets exactly as a fresh `BatchWorker`
+            // would: the memo is window-scoped (statistics parity with
+            // `run_window_batched`), the skeleton's buffers are drained but
             // keep their capacity and interned names.
-            w.doc.begin_task();
+            w.doc.begin_window();
             w.memo.clear();
             let root = w.doc.root();
-            let (el, child_env) = w.emit_node_instance(root, task.vid, &env, task.tuple.as_ref());
-            let frontier: Vec<Pending<SkelId>> = self
-                .tree
-                .children(task.vid)
-                .iter()
-                .map(|&vid| Pending {
-                    parent: el,
-                    vid,
-                    env: child_env.clone(),
-                })
-                .collect();
+            let frontier = w.seed_window(root, window);
             expand_frontier(&mut w, frontier)?;
             peak = peak.max(w.doc.heap_bytes());
             w.doc.emit(sink)?;
@@ -607,7 +611,7 @@ impl Run<'_> {
             frontier.push(Pending {
                 parent: holder,
                 vid,
-                env,
+                env: Rc::new(env),
             });
         };
         for &n in &root_tops {
@@ -685,7 +689,7 @@ pub(crate) fn guard_probe(guard: &ScalarExpr) -> SelectQuery {
     probe
 }
 
-/// Read-only state shared by every subtree task.
+/// Read-only state shared by every window.
 struct Shared<'a> {
     tree: &'a SchemaTree,
     db: &'a Database,
@@ -697,8 +701,9 @@ struct Shared<'a> {
 }
 
 /// One root-level element instance to publish: a query-node tuple, or a
-/// literal / context-copy element.
-struct Task {
+/// literal / context-copy element. Consecutive instances form the windows
+/// of [`ROOT_WINDOW`] a publish is cut into.
+struct Root {
     vid: ViewNodeId,
     tag: String,
     /// 0-based occurrence index of `tag` among root-level siblings, for
@@ -707,53 +712,74 @@ struct Task {
     tuple: Option<NamedTuple>,
 }
 
-/// What one task produced: a document fragment (the element subtree) plus
-/// its private counters and trace entries.
-struct TaskOut {
+/// Same-tag root-level sibling counts preceding `window`, the seed of its
+/// indexed trace paths. A window is consecutive in document order, so the
+/// first instance of each tag carries the count of the ones before it.
+fn sibling_seed(window: &[Root]) -> HashMap<String, usize> {
+    let mut seed = HashMap::new();
+    for r in window {
+        seed.entry(r.tag.clone()).or_insert(r.index);
+    }
+    seed
+}
+
+/// What one window produced: a document fragment (its root elements'
+/// subtrees) plus its private counters and trace entries.
+struct WindowOut {
     doc: Document,
     stats: PublishStats,
     eval: EvalStats,
     trace: Vec<TraceEntry>,
-    /// Splice provenance keyed by *task-local* node ids (remapped to final
-    /// document ids during the merge). Empty unless splice collection is on.
+    /// Splice provenance keyed by *window-local* node ids (remapped to
+    /// final document ids during the merge). Empty unless splice
+    /// collection is on.
     splice: HashMap<xvc_xml::NodeId, SpliceEntry>,
 }
 
-/// Runs every task — inline when `parallel <= 1`, else on a scoped thread
-/// pool — returning results in task order.
-fn run_tasks(shared: &Shared<'_>, tasks: &[Task], parallel: usize) -> Vec<Option<Result<TaskOut>>> {
-    let n = parallel.clamp(1, tasks.len().max(1));
+/// Cuts `roots` into windows of [`ROOT_WINDOW`] and runs each — inline
+/// when `parallel <= 1`, else on a scoped thread pool that hands out
+/// whole windows — returning results in window order.
+fn run_windows(shared: &Shared<'_>, roots: &[Root], parallel: usize) -> Vec<Result<WindowOut>> {
+    let windows: Vec<&[Root]> = roots.chunks(ROOT_WINDOW).collect();
+    let n = parallel.clamp(1, windows.len().max(1));
     if n <= 1 {
-        return tasks.iter().map(|t| Some(run_task(shared, t))).collect();
+        return windows.iter().map(|w| run_window(shared, w)).collect();
     }
-    let slots: Vec<Mutex<Option<Result<TaskOut>>>> =
-        tasks.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<Result<WindowOut>>>> =
+        windows.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..n {
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(task) = tasks.get(i) else { break };
-                let out = run_task(shared, task);
-                *slots[i].lock().expect("task slot") = Some(out);
+                let Some(window) = windows.get(i) else { break };
+                let out = run_window(shared, window);
+                *slots[i].lock().expect("window slot") = Some(out);
             });
         }
     });
     slots
         .into_iter()
-        .map(|m| m.into_inner().expect("task slot"))
+        .map(|m| {
+            m.into_inner()
+                .expect("window slot")
+                .expect("every window slot is filled")
+        })
         .collect()
 }
 
-fn run_task(shared: &Shared<'_>, task: &Task) -> Result<TaskOut> {
+fn run_window(shared: &Shared<'_>, window: &[Root]) -> Result<WindowOut> {
     if shared.batched {
-        return run_task_batched(shared, task);
+        return run_window_batched(shared, window);
     }
-    let mut seed = HashMap::new();
-    seed.insert(task.tag.clone(), task.index);
-    let mut w = Worker::new(shared, seed);
-    w.emit_instance(task.vid, &ParamEnv::new(), task.tuple.as_ref())?;
-    Ok(TaskOut {
+    // The reference walk: one worker (and so one memo) per window, the
+    // scope the batched walk's memo has.
+    let mut w = Worker::new(shared, sibling_seed(window));
+    let env = ParamEnv::new();
+    for r in window {
+        w.emit_instance(r.vid, &env, r.tuple.as_ref())?;
+    }
+    Ok(WindowOut {
         doc: w.builder.finish(),
         stats: w.stats,
         eval: w.eval,
@@ -762,38 +788,27 @@ fn run_task(shared: &Shared<'_>, task: &Task) -> Result<TaskOut> {
     })
 }
 
-/// Publishes one subtree task breadth-first: the frontier holds every
-/// `(parent element, view node, bindings)` still to expand at the current
-/// depth, and each (view node, frontier) pair runs **one** set-oriented
-/// tag-query / guard execution for all its parents at once, with the rows
-/// regrouped back to their parent elements afterwards. Document order is
-/// preserved because a parent's pending view nodes are expanded in schema
-/// order (ascending node id) and each batch returns per-binding rows in
-/// the scalar path's row order.
-fn run_task_batched(shared: &Shared<'_>, task: &Task) -> Result<TaskOut> {
-    let tree = shared.tree;
+/// Publishes one window breadth-first: wave 0 is the window's root
+/// elements, and the frontier holds every `(parent element, view node,
+/// bindings)` still to expand at the current depth. Each (view node,
+/// wave) pair runs **one** set-oriented tag-query / guard execution for
+/// all its parents across the window, with the rows regrouped back to
+/// their parent elements afterwards. Document order is preserved because
+/// a parent's pending view nodes are expanded in schema order (ascending
+/// node id) and each batch returns per-binding rows in the scalar path's
+/// row order.
+fn run_window_batched(shared: &Shared<'_>, window: &[Root]) -> Result<WindowOut> {
     let mut w = BatchWorker::new(shared);
-    let env = ParamEnv::new();
     let root = w.doc.root();
-    let (el, child_env) = w.emit_node_instance(root, task.vid, &env, task.tuple.as_ref());
-
-    let frontier: Vec<Pending> = tree
-        .children(task.vid)
-        .iter()
-        .map(|&vid| Pending {
-            parent: el,
-            vid,
-            env: child_env.clone(),
-        })
-        .collect();
+    let frontier = w.seed_window(root, window);
     expand_frontier(&mut w, frontier)?;
 
     let trace = if shared.tracing {
-        w.build_trace(task)
+        w.build_trace(window)
     } else {
         Vec::new()
     };
-    Ok(TaskOut {
+    Ok(WindowOut {
         doc: w.doc,
         stats: w.stats,
         eval: w.eval,
@@ -802,12 +817,30 @@ fn run_task_batched(shared: &Shared<'_>, task: &Task) -> Result<TaskOut> {
     })
 }
 
+/// Queues every child view node of the element `el` (an instance of
+/// `vid`) for the next wave, all sharing the element's child bindings.
+fn push_children<Id: Copy>(
+    next: &mut Vec<Pending<Id>>,
+    tree: &SchemaTree,
+    vid: ViewNodeId,
+    el: Id,
+    env: &Rc<ParamEnv>,
+) {
+    for &c in tree.children(vid) {
+        next.push(Pending {
+            parent: el,
+            vid: c,
+            env: Rc::clone(env),
+        });
+    }
+}
+
 /// The level-at-a-time engine of the batched path: expands `frontier`
 /// breadth-first to exhaustion inside `w`'s store. Factored out of
-/// [`run_task_batched`] so [`crate::Session::republish_delta`] can seed it with
-/// an arbitrary set of `(parent, view node, bindings)` slots instead of a
-/// single task root, and generic over the [`WaveStore`] so the streaming
-/// sink ([`Run::stream`]) runs the identical walk.
+/// [`run_window_batched`] so [`crate::Session::republish_delta`] can seed
+/// it with an arbitrary set of `(parent, view node, bindings)` slots
+/// instead of a window's roots, and generic over the [`WaveStore`] so the
+/// streaming sink ([`Run::stream`]) runs the identical walk.
 fn expand_frontier<S: WaveStore>(
     w: &mut BatchWorker<'_, S>,
     mut frontier: Vec<Pending<S::Id>>,
@@ -830,7 +863,7 @@ fn expand_frontier<S: WaveStore>(
             if let Some(guard) = &node.guard {
                 w.touched.insert(vid.index());
                 let probe = guard_probe(guard);
-                let envs: Vec<ParamEnv> = live.iter().map(|&i| frontier[i].env.clone()).collect();
+                let envs: Vec<&ParamEnv> = live.iter().map(|&i| &*frontier[i].env).collect();
                 w.stats.queries_run += envs.len();
                 let rels = w.run_batch(vid, Role::Guard, &probe, &envs)?;
                 live = live
@@ -845,35 +878,23 @@ fn expand_frontier<S: WaveStore>(
                 for &i in &live {
                     let p = &frontier[i];
                     let (el, child_env) = w.emit_node_instance(p.parent, vid, &p.env, None);
-                    for &c in tree.children(vid) {
-                        next.push(Pending {
-                            parent: el,
-                            vid: c,
-                            env: child_env.clone(),
-                        });
-                    }
+                    push_children(&mut next, tree, vid, el, &child_env);
                 }
                 continue;
             }
 
             w.touched.insert(vid.index());
             let query = node.query.as_ref().expect("query node");
-            let envs: Vec<ParamEnv> = live.iter().map(|&i| frontier[i].env.clone()).collect();
+            let envs: Vec<&ParamEnv> = live.iter().map(|&i| &*frontier[i].env).collect();
             let rels = w.run_batch(vid, Role::Tag, query, &envs)?;
             for (&i, rel) in live.iter().zip(&rels) {
                 let p = &frontier[i];
                 w.stats.queries_run += 1;
                 w.stats.tuples_fetched += rel.len();
-                for t in 0..rel.len() {
-                    let tuple = rel.tuple(t);
-                    let (el, child_env) = w.emit_node_instance(p.parent, vid, &p.env, Some(&tuple));
-                    for &c in tree.children(vid) {
-                        next.push(Pending {
-                            parent: el,
-                            vid: c,
-                            env: child_env.clone(),
-                        });
-                    }
+                for row in &rel.rows {
+                    let (el, child_env) =
+                        w.emit_node_instance(p.parent, vid, &p.env, Some((&rel.columns, row)));
+                    push_children(&mut next, tree, vid, el, &child_env);
                 }
             }
         }
@@ -1012,18 +1033,19 @@ fn copy_subtree(
 }
 
 /// One frontier slot: a view node still to expand under `parent` with the
-/// bindings accumulated on the path down to it. Generic over the element
+/// bindings accumulated on the path down to it, shared with the slot's
+/// sibling view nodes under the same parent. Generic over the element
 /// handle of the [`WaveStore`] the walk materializes into (arena
 /// [`xvc_xml::NodeId`] by default).
 struct Pending<Id = xvc_xml::NodeId> {
     parent: Id,
     vid: ViewNodeId,
-    env: ParamEnv,
+    env: Rc<ParamEnv>,
 }
 
 /// Where the batched frontier walk materializes elements: the arena
 /// [`Document`] (full publishes, traces, delta splicing) or the reusable
-/// per-task [`Skeleton`] drained by the streaming sink. The store only
+/// per-window [`Skeleton`] drained by the streaming sink. The store only
 /// sees the three structural operations the wave loop performs; the memo,
 /// batching and statistics machinery is shared by both, so the two
 /// emission back ends cannot drift apart.
@@ -1085,32 +1107,32 @@ struct SkelAttr {
     val_len: u32,
 }
 
-/// The streaming path's per-task element store: just enough structure to
-/// emit one root-level subtree in document order after its breadth-first
-/// waves complete. Tag and attribute names are interned (a schema tree
-/// has a handful of distinct names, reused across every task); attribute
-/// values share one text buffer; child lists are intrusive `u32` links.
-/// [`Skeleton::begin_task`] drains everything but keeps the capacity and
-/// the name table, so steady-state publishing allocates almost nothing
-/// and peak emission memory is bounded by the largest single task, not
-/// the document.
+/// The streaming path's per-window element store: just enough structure
+/// to emit one window's root-level subtrees in document order after its
+/// breadth-first waves complete. Tag and attribute names are interned (a
+/// schema tree has a handful of distinct names, reused across every
+/// window); attribute values share one text buffer; child lists are
+/// intrusive `u32` links. [`Skeleton::begin_window`] drains everything but
+/// keeps the capacity and the name table, so steady-state publishing
+/// allocates almost nothing and peak emission memory is bounded by the
+/// largest window of [`ROOT_WINDOW`] root subtrees, not the document.
 #[derive(Debug, Default)]
 struct Skeleton {
-    /// Interned tag / attribute names (kept across tasks).
+    /// Interned tag / attribute names (kept across windows).
     names: Vec<String>,
     name_ids: HashMap<String, u32>,
     nodes: Vec<SkelNode>,
     attrs: Vec<SkelAttr>,
     /// Attribute values, concatenated. Replaced values leak their old
-    /// bytes until the next `begin_task` — duplicate attribute names are
-    /// rare and tasks are short-lived.
+    /// bytes until the next `begin_window` — duplicate attribute names
+    /// are rare and windows are short-lived.
     text: String,
 }
 
 impl Skeleton {
-    /// Clears per-task state (keeping buffer capacity and interned names)
-    /// and re-creates the synthetic task root.
-    fn begin_task(&mut self) {
+    /// Clears per-window state (keeping buffer capacity and interned
+    /// names) and re-creates the synthetic window root.
+    fn begin_window(&mut self) {
         self.nodes.clear();
         self.attrs.clear();
         self.text.clear();
@@ -1124,9 +1146,9 @@ impl Skeleton {
         });
     }
 
-    /// The synthetic task root (emission serializes its children).
+    /// The synthetic window root (emission serializes its children).
     fn root(&self) -> SkelId {
-        debug_assert!(!self.nodes.is_empty(), "begin_task before use");
+        debug_assert!(!self.nodes.is_empty(), "begin_window before use");
         SkelId(0)
     }
 
@@ -1140,7 +1162,7 @@ impl Skeleton {
         id
     }
 
-    /// Heap bytes currently retained by the task buffers (capacities, not
+    /// Heap bytes currently retained by the window buffers (capacities, not
     /// lengths — this is what the process actually holds on to).
     fn heap_bytes(&self) -> usize {
         self.nodes.capacity() * std::mem::size_of::<SkelNode>()
@@ -1149,7 +1171,7 @@ impl Skeleton {
             + self.names.iter().map(String::capacity).sum::<usize>()
     }
 
-    /// Serializes the task subtree into `sink` in document order (an
+    /// Serializes the window's subtrees into `sink` in document order (an
     /// iterative DFS over the intrusive child links; no recursion, so
     /// recursion-heavy views cannot overflow the stack here).
     fn emit(&self, sink: &mut dyn XmlSink) -> io::Result<()> {
@@ -1188,7 +1210,7 @@ impl WaveStore for Skeleton {
 
     fn create_element(&mut self, tag: &str) -> SkelId {
         let tag = self.intern(tag);
-        let id = u32::try_from(self.nodes.len()).expect("task fits u32 nodes");
+        let id = u32::try_from(self.nodes.len()).expect("window fits u32 nodes");
         self.nodes.push(SkelNode {
             tag,
             first_child: SKEL_NONE,
@@ -1245,10 +1267,10 @@ impl WaveStore for Skeleton {
     }
 }
 
-/// Per-task state of the breadth-first walk. Unlike [`Worker`] it builds
-/// its [`WaveStore`] directly (batched expansion appends to parents
-/// created in earlier waves, which a forward-only builder cannot do):
-/// the arena [`Document`] for full/delta publishes — with the trace
+/// Per-window state of the breadth-first walk. Unlike [`Worker`] it
+/// builds its [`WaveStore`] directly (batched expansion appends to
+/// parents created in earlier waves, which a forward-only builder cannot
+/// do): the arena [`Document`] for full/delta publishes — with the trace
 /// reconstructed afterwards in document order — or the [`Skeleton`] the
 /// streaming sink drains.
 struct BatchWorker<'a, S: WaveStore = Document> {
@@ -1256,11 +1278,11 @@ struct BatchWorker<'a, S: WaveStore = Document> {
     doc: S,
     stats: PublishStats,
     eval: EvalStats,
-    /// `(node, role, rendered binding values)` → relation, same scope and
-    /// cap as the scalar worker's memo.
-    memo: HashMap<(u32, Role, String), Relation>,
+    /// [`memo_key`] → relation, same scope and cap as the scalar worker's
+    /// memo. Relations are shared with the batch output slots, not copied.
+    memo: HashMap<String, Rc<Relation>>,
     /// Element provenance for trace reconstruction (tracing runs only).
-    prov: HashMap<S::Id, (ViewNodeId, ParamEnv)>,
+    prov: HashMap<S::Id, (ViewNodeId, Rc<ParamEnv>)>,
     /// Splice provenance (splice-collecting runs only).
     splice: HashMap<S::Id, SpliceEntry>,
     /// View nodes whose guard / tag batches this worker issued (delta-path
@@ -1288,57 +1310,89 @@ impl<'a, S: WaveStore> BatchWorker<'a, S> {
         }
     }
 
+    /// Wave 0 of a window's walk: emits the window's root elements under
+    /// `root`, in document order, and returns the frontier of their child
+    /// view nodes.
+    fn seed_window(&mut self, root: S::Id, window: &[Root]) -> Vec<Pending<S::Id>> {
+        let env = Rc::new(ParamEnv::new());
+        let mut frontier = Vec::new();
+        for r in window {
+            let row = r.tuple.as_ref().map(|t| (&t.columns[..], &t.values[..]));
+            let (el, child_env) = self.emit_node_instance(root, r.vid, &env, row);
+            push_children(&mut frontier, self.shared.tree, r.vid, el, &child_env);
+        }
+        frontier
+    }
+
     /// Creates one element instance under `parent` — tag, static and
-    /// projected tuple attributes, counters, provenance — and returns it
-    /// with the environment its children run under. The per-node-kind
-    /// logic mirrors [`Worker::emit_instance`] exactly.
+    /// projected attributes of its tuple row (`(columns, values)`),
+    /// counters, provenance — and returns it with the environment its
+    /// children run under. A node with no children builds no child
+    /// environment (unless splice provenance records it) and hands back
+    /// `env`. The per-node-kind logic mirrors [`Worker::emit_instance`]
+    /// exactly.
     fn emit_node_instance(
         &mut self,
         parent: S::Id,
         vid: ViewNodeId,
-        env: &ParamEnv,
-        tuple: Option<&NamedTuple>,
-    ) -> (S::Id, ParamEnv) {
-        let node = self.shared.tree.node(vid).expect("non-root id");
+        env: &Rc<ParamEnv>,
+        row: Option<(&[String], &[xvc_rel::Value])>,
+    ) -> (S::Id, Rc<ParamEnv>) {
+        let tree = self.shared.tree;
+        let node = tree.node(vid).expect("non-root id");
         let el = self.doc.create_element(&node.tag);
         self.doc.append_child(parent, el);
         self.stats.elements += 1;
         if self.shared.tracing {
-            self.prov.insert(el, (vid, env.clone()));
+            self.prov.insert(el, (vid, Rc::clone(env)));
         }
         for (k, v) in &node.static_attrs {
             self.doc.set_attr(el, k, v);
             self.stats.attributes += 1;
         }
-        let mut child_env = env.clone();
+        let needs_env = self.shared.collect_splice || !tree.children(vid).is_empty();
+        let mut child_env = Rc::clone(env);
         if let Some(var) = &node.context_tuple_of {
             if let Some(t) = env.get(var) {
-                let t = t.clone();
-                for (k, v) in project_attrs(&node.attrs, &t.columns, &t.values) {
-                    self.doc.set_attr(el, k, &v);
-                    self.stats.attributes += 1;
-                }
-                if !node.bv.is_empty() {
-                    child_env.insert(node.bv.clone(), t);
+                self.set_tuple_attrs(el, &node.attrs, &t.columns, &t.values);
+                if needs_env && !node.bv.is_empty() {
+                    Rc::make_mut(&mut child_env).insert(node.bv.clone(), t.clone());
                 }
             }
-        } else if let Some(t) = tuple {
-            for (k, v) in project_attrs(&node.attrs, &t.columns, &t.values) {
-                self.doc.set_attr(el, k, &v);
-                self.stats.attributes += 1;
+        } else if let Some((columns, values)) = row {
+            self.set_tuple_attrs(el, &node.attrs, columns, values);
+            if needs_env {
+                let t = NamedTuple {
+                    columns: columns.to_vec(),
+                    values: values.to_vec(),
+                };
+                Rc::make_mut(&mut child_env).insert(node.bv.clone(), t);
             }
-            child_env.insert(node.bv.clone(), t.clone());
         }
         if self.shared.collect_splice {
             self.splice.insert(
                 el,
                 SpliceEntry {
                     view: vid,
-                    child_env: child_env.clone(),
+                    child_env: (*child_env).clone(),
                 },
             );
         }
         (el, child_env)
+    }
+
+    /// Sets a row's projected columns as attributes (see [`project_attrs`]).
+    fn set_tuple_attrs(
+        &mut self,
+        el: S::Id,
+        attrs: &AttrProjection,
+        columns: &[String],
+        values: &[xvc_rel::Value],
+    ) {
+        for (k, v) in project_attrs(attrs, columns, values) {
+            self.doc.set_attr(el, k, &v.render());
+            self.stats.attributes += 1;
+        }
     }
 
     /// Set-oriented counterpart of [`Worker::run_tag_query`]: one relation
@@ -1351,75 +1405,72 @@ impl<'a, S: WaveStore> BatchWorker<'a, S> {
         vid: ViewNodeId,
         role: Role,
         q: &SelectQuery,
-        envs: &[ParamEnv],
-    ) -> Result<Vec<Relation>> {
+        envs: &[&ParamEnv],
+    ) -> Result<Vec<Rc<Relation>>> {
         if envs.is_empty() {
             return Ok(Vec::new());
         }
-        let key_base = vid.index() as u32;
+        let plan_key = (vid.index() as u32, role);
         if self.shared.use_plans {
-            if let Some(PlanEntry::Ready(plan)) = self.shared.plans.get(&(key_base, role)) {
-                let mut out: Vec<Option<Relation>> = vec![None; envs.len()];
+            if let Some(PlanEntry::Ready(plan)) = self.shared.plans.get(&plan_key) {
+                let mut out: Vec<Option<Rc<Relation>>> = vec![None; envs.len()];
                 // env index → slot in `pending` whose result it shares.
                 let mut share: Vec<usize> = vec![usize::MAX; envs.len()];
-                let mut pending: Vec<usize> = Vec::new();
+                let mut pending: Vec<&ParamEnv> = Vec::new();
                 // memo key → (pending slot of its first execution, whether
                 // that execution will be inserted into the memo).
                 let mut in_flight: HashMap<String, (usize, bool)> = HashMap::new();
                 let mut planned_inserts = 0usize;
-                for (i, env) in envs.iter().enumerate() {
-                    match memo_key(plan.slots(), env) {
-                        Some(key) => {
-                            if let Some(hit) = self.memo.get(&(key_base, role, key.clone())) {
-                                self.stats.memo_hits += 1;
-                                out[i] = Some(hit.clone());
-                            } else if let Some(&(slot, will_insert)) = in_flight.get(&key) {
-                                // Scalar would find the first execution's
-                                // insert (hit) — or, past the cap, miss and
-                                // re-execute; the engine work is shared
-                                // either way, only the counter differs.
-                                if will_insert {
-                                    self.stats.memo_hits += 1;
-                                } else {
-                                    self.stats.memo_misses += 1;
-                                }
-                                share[i] = slot;
-                            } else {
-                                self.stats.memo_misses += 1;
-                                let will_insert = self.memo.len() + planned_inserts < MEMO_CAP;
-                                if will_insert {
-                                    planned_inserts += 1;
-                                }
-                                in_flight.insert(key, (pending.len(), will_insert));
-                                share[i] = pending.len();
-                                pending.push(i);
-                            }
+                let mut key = String::new();
+                for (i, &env) in envs.iter().enumerate() {
+                    // Unresolvable slots bypass the memo, exactly like the
+                    // scalar path (the execution itself reports the unbound
+                    // parameter, if the plan reaches it).
+                    if !memo_key(&mut key, plan_key, plan.slots(), env) {
+                        share[i] = pending.len();
+                        pending.push(env);
+                    } else if let Some(hit) = self.memo.get(&key) {
+                        self.stats.memo_hits += 1;
+                        out[i] = Some(Rc::clone(hit));
+                    } else if let Some(&(slot, will_insert)) = in_flight.get(&key) {
+                        // Scalar would find the first execution's insert
+                        // (hit) — or, past the cap, miss and re-execute;
+                        // the engine work is shared either way, only the
+                        // counter differs.
+                        if will_insert {
+                            self.stats.memo_hits += 1;
+                        } else {
+                            self.stats.memo_misses += 1;
                         }
-                        // Unresolvable slots bypass the memo, exactly like
-                        // the scalar path (the execution itself reports the
-                        // unbound parameter, if the plan reaches it).
-                        None => {
-                            share[i] = pending.len();
-                            pending.push(i);
+                        share[i] = slot;
+                    } else {
+                        self.stats.memo_misses += 1;
+                        let will_insert = self.memo.len() + planned_inserts < MEMO_CAP;
+                        if will_insert {
+                            planned_inserts += 1;
                         }
+                        in_flight.insert(key.clone(), (pending.len(), will_insert));
+                        share[i] = pending.len();
+                        pending.push(env);
                     }
                 }
                 if !pending.is_empty() {
-                    let penvs: Vec<ParamEnv> = pending.iter().map(|&i| envs[i].clone()).collect();
-                    let batch = plan.execute_batch_stats(self.shared.db, &penvs, &mut self.eval)?;
+                    let batch =
+                        plan.execute_batch_stats(self.shared.db, &pending, &mut self.eval)?;
                     self.stats.batches_executed += 1;
                     self.stats.bindings_per_batch_max =
-                        self.stats.bindings_per_batch_max.max(penvs.len());
+                        self.stats.bindings_per_batch_max.max(pending.len());
                     self.stats.rows_regrouped += batch.total_rows();
-                    let rels = batch.into_relations();
+                    let rels: Vec<Rc<Relation>> =
+                        batch.into_relations().into_iter().map(Rc::new).collect();
                     for (key, (slot, will_insert)) in in_flight {
                         if will_insert {
-                            self.memo.insert((key_base, role, key), rels[slot].clone());
+                            self.memo.insert(key, Rc::clone(&rels[slot]));
                         }
                     }
-                    for (i, slot) in out.iter_mut().zip(&share) {
-                        if i.is_none() {
-                            *i = Some(rels[*slot].clone());
+                    for (o, &slot) in out.iter_mut().zip(&share) {
+                        if o.is_none() {
+                            *o = Some(Rc::clone(&rels[slot]));
                         }
                     }
                 }
@@ -1432,14 +1483,15 @@ impl<'a, S: WaveStore> BatchWorker<'a, S> {
         // Interpreter fallback: per environment, identical to the scalar
         // path (no batch counters — nothing was batched).
         let mut rels = Vec::with_capacity(envs.len());
-        for env in envs {
-            rels.push(eval_query_stats(
+        for &env in envs {
+            let rel = eval_query_stats(
                 self.shared.db,
                 q,
                 env,
                 EvalOptions::default(),
                 &mut self.eval,
-            )?);
+            )?;
+            rels.push(Rc::new(rel));
         }
         Ok(rels)
     }
@@ -1449,14 +1501,12 @@ impl<'a, S: WaveStore> BatchWorker<'a, S> {
 /// (the materializing fallback handles traced publishes).
 impl BatchWorker<'_, Document> {
     /// Reconstructs the scalar path's pre-order trace from the finished
-    /// fragment: indexed paths from per-level same-tag sibling counts,
-    /// provenance from the map filled at element creation.
-    fn build_trace(&self, task: &Task) -> Vec<TraceEntry> {
+    /// window fragment: indexed paths from per-level same-tag sibling
+    /// counts, provenance from the map filled at element creation.
+    fn build_trace(&self, window: &[Root]) -> Vec<TraceEntry> {
         let mut entries = Vec::new();
         let mut path: Vec<String> = Vec::new();
-        let mut seed = HashMap::new();
-        seed.insert(task.tag.clone(), task.index);
-        let mut counts: Vec<HashMap<String, usize>> = vec![seed];
+        let mut counts: Vec<HashMap<String, usize>> = vec![sibling_seed(window)];
         self.walk_trace(self.doc.root(), &mut path, &mut counts, &mut entries);
         entries
     }
@@ -1481,7 +1531,7 @@ impl BatchWorker<'_, Document> {
                 entries.push(TraceEntry {
                     path: format!("/{}", path.join("/")),
                     view: *vid,
-                    env: env.clone(),
+                    env: (**env).clone(),
                 });
             }
             self.walk_trace(child, path, counts, entries);
@@ -1491,9 +1541,10 @@ impl BatchWorker<'_, Document> {
     }
 }
 
-/// Per-task publishing state: its own builder, counters, trace slice and
-/// result memo (memoization is task-scoped so statistics cannot depend on
-/// how tasks are spread over threads).
+/// Per-window publishing state of the scalar reference walk: its own
+/// builder, counters, trace slice and result memo (memoization is
+/// window-scoped so statistics cannot depend on how windows are spread
+/// over threads).
 struct Worker<'a> {
     shared: &'a Shared<'a>,
     builder: TreeBuilder,
@@ -1502,11 +1553,11 @@ struct Worker<'a> {
     trace: Vec<TraceEntry>,
     /// Indexed path segments of currently open elements.
     path: Vec<String>,
-    /// Per open level: same-tag sibling counts emitted so far (the task's
-    /// base level is the first entry).
+    /// Per open level: same-tag sibling counts emitted so far (the
+    /// window's base level is the first entry).
     sibling_counts: Vec<HashMap<String, usize>>,
-    /// `(node, role, rendered binding values)` → relation.
-    memo: HashMap<(u32, Role, String), Relation>,
+    /// [`memo_key`] → relation.
+    memo: HashMap<String, Rc<Relation>>,
 }
 
 impl<'a> Worker<'a> {
@@ -1532,33 +1583,37 @@ impl<'a> Worker<'a> {
         role: Role,
         q: &SelectQuery,
         env: &ParamEnv,
-    ) -> Result<Relation> {
+    ) -> Result<Rc<Relation>> {
+        let plan_key = (vid.index() as u32, role);
         if self.shared.use_plans {
-            if let Some(PlanEntry::Ready(plan)) = self.shared.plans.get(&(vid.index() as u32, role))
-            {
-                if let Some(key) = memo_key(plan.slots(), env) {
-                    let mk = (vid.index() as u32, role, key);
-                    if let Some(hit) = self.memo.get(&mk) {
+            if let Some(PlanEntry::Ready(plan)) = self.shared.plans.get(&plan_key) {
+                let mut key = String::new();
+                if memo_key(&mut key, plan_key, plan.slots(), env) {
+                    if let Some(hit) = self.memo.get(&key) {
                         self.stats.memo_hits += 1;
-                        return Ok(hit.clone());
+                        return Ok(Rc::clone(hit));
                     }
-                    let rel = plan.execute_stats(self.shared.db, env, &mut self.eval)?;
+                    let rel = Rc::new(plan.execute_stats(self.shared.db, env, &mut self.eval)?);
                     self.stats.memo_misses += 1;
                     if self.memo.len() < MEMO_CAP {
-                        self.memo.insert(mk, rel.clone());
+                        self.memo.insert(key, Rc::clone(&rel));
                     }
                     return Ok(rel);
                 }
-                return Ok(plan.execute_stats(self.shared.db, env, &mut self.eval)?);
+                return Ok(Rc::new(plan.execute_stats(
+                    self.shared.db,
+                    env,
+                    &mut self.eval,
+                )?));
             }
         }
-        Ok(eval_query_stats(
+        Ok(Rc::new(eval_query_stats(
             self.shared.db,
             q,
             env,
             EvalOptions::default(),
             &mut self.eval,
-        )?)
+        )?))
     }
 
     /// Opens an element, maintaining the indexed path and trace.
@@ -1608,12 +1663,13 @@ impl<'a> Worker<'a> {
         values: &[xvc_rel::Value],
     ) {
         for (c, v) in project_attrs(attrs, columns, values) {
-            self.emit_attr(c, v);
+            self.emit_attr(c, v.render());
         }
     }
 
     /// Publishes one already-guarded element instance: the entry point of a
-    /// root-level task (guards of root children run in the main pass).
+    /// window's root instances (guards of root children run in the root
+    /// pass).
     fn emit_instance(
         &mut self,
         vid: ViewNodeId,
@@ -1663,7 +1719,7 @@ impl<'a> Worker<'a> {
                 }
                 self.close();
             }
-            (Some(_), None) => unreachable!("query-node tasks always carry a tuple"),
+            (Some(_), None) => unreachable!("query-node roots always carry a tuple"),
         }
         Ok(())
     }
@@ -1693,7 +1749,7 @@ impl<'a> Worker<'a> {
         }
 
         let query = node.query.as_ref().expect("query node");
-        let rel: Relation = self.run_tag_query(vid, Role::Tag, query, env)?;
+        let rel = self.run_tag_query(vid, Role::Tag, query, env)?;
         self.stats.queries_run += 1;
         self.stats.tuples_fetched += rel.len();
         for i in 0..rel.len() {
@@ -1703,17 +1759,26 @@ impl<'a> Worker<'a> {
     }
 }
 
-/// The memo key for one execution: the rendered values of every binding
-/// slot the plan actually reads. `None` (memo bypass) when a slot cannot be
-/// resolved — the execution then reports the unbound parameter itself.
-fn memo_key(slots: &[(String, String)], env: &ParamEnv) -> Option<String> {
-    let mut key = String::new();
+/// Writes into `key` the memo key for one execution: the plan's node and
+/// role, then the rendered values of every binding slot the plan actually
+/// reads. Returns `false` (memo bypass) when a slot cannot be resolved —
+/// the execution then reports the unbound parameter itself. Callers reuse
+/// one buffer across bindings and copy it only into memo entries.
+fn memo_key(
+    key: &mut String,
+    (node, role): PlanKey,
+    slots: &[(String, String)],
+    env: &ParamEnv,
+) -> bool {
+    key.clear();
+    let _ = write!(key, "{node}{role:?}\u{1f}");
     for (var, column) in slots {
-        let v = env.get(var)?.get(column)?;
-        key.push_str(&format!("{v:?}"));
-        key.push('\u{1f}');
+        let Some(v) = env.get(var).and_then(|t| t.get(column)) else {
+            return false;
+        };
+        let _ = write!(key, "{v:?}\u{1f}");
     }
-    Some(key)
+    true
 }
 
 /// Projects tuple columns into attribute `(name, value)` pairs: NULLs
@@ -1721,24 +1786,32 @@ fn memo_key(slots: &[(String, String)], env: &ParamEnv) -> Option<String> {
 /// scalar and the batched worker emit through this, so their attribute
 /// output cannot drift apart.
 fn project_attrs<'c>(
-    attrs: &AttrProjection,
+    attrs: &'c AttrProjection,
     columns: &'c [String],
-    values: &[xvc_rel::Value],
-) -> Vec<(&'c str, String)> {
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    for (c, val) in columns.iter().zip(values) {
-        let wanted = match attrs {
-            AttrProjection::All => true,
-            AttrProjection::None => false,
-            AttrProjection::Columns(cols) => cols.iter().any(|x| x == c),
-        };
-        if !wanted || val.is_null() || !seen.insert(c.as_str()) {
-            continue;
-        }
-        out.push((c.as_str(), val.render()));
-    }
-    out
+    values: &'c [xvc_rel::Value],
+) -> impl Iterator<Item = (&'c str, &'c xvc_rel::Value)> + 'c {
+    let emitted = |c: &String, v: &xvc_rel::Value| {
+        !v.is_null()
+            && match attrs {
+                AttrProjection::All => true,
+                AttrProjection::None => false,
+                AttrProjection::Columns(cols) => cols.iter().any(|x| x == c),
+            }
+    };
+    // A repeated name is dropped once an earlier column of that name was
+    // emitted: a linear look back, as rows carry few columns.
+    columns
+        .iter()
+        .zip(values)
+        .enumerate()
+        .filter(move |&(i, (c, v))| {
+            emitted(c, v)
+                && !columns[..i]
+                    .iter()
+                    .zip(values)
+                    .any(|(c0, v0)| c0 == c && emitted(c0, v0))
+        })
+        .map(|(_, (c, v))| (c.as_str(), v))
 }
 
 #[cfg(test)]
@@ -1788,6 +1861,34 @@ mod tests {
                     Value::Str(name.into()),
                     Value::Int(stars),
                     Value::Int(metro),
+                ],
+            )
+            .unwrap();
+        }
+        db
+    }
+
+    /// Metros in [`wide_db`]: three windows of [`ROOT_WINDOW`].
+    const WIDE_METROS: usize = 20;
+
+    /// [`db`] widened to [`WIDE_METROS`] metros, so a publish spans several
+    /// windows (and `parallel(n)` runs them on threads). Each added metro
+    /// has one 3-star hotel, which [`view`]'s `starrating > 4` drops.
+    fn wide_db() -> Database {
+        let mut db = db();
+        for id in 3..=WIDE_METROS as i64 {
+            db.insert(
+                "metroarea",
+                vec![Value::Int(id), Value::Str(format!("metro{id}"))],
+            )
+            .unwrap();
+            db.insert(
+                "hotel",
+                vec![
+                    Value::Int(100 + id),
+                    Value::Str(format!("inn{id}")),
+                    Value::Int(3),
+                    Value::Int(id),
                 ],
             )
             .unwrap();
@@ -2027,11 +2128,12 @@ mod tests {
     fn publish_with_stats_reports_engine_work() {
         let p = publish_one(&view(), &db()).unwrap();
         assert_eq!(p.stats.queries_run, 3);
-        // metroarea scan (2 rows) + two parameterized hotel scans (3 rows
-        // each), both carrying the $m binding.
-        assert_eq!(p.eval.queries, 3);
+        // metroarea scan (2 rows) + one hotel scan (3 rows) shared by both
+        // metros: they fall in one window, so their hotel bindings form
+        // one batch, serving two $m bindings.
+        assert_eq!(p.eval.queries, 2);
         assert_eq!(p.eval.param_queries, 2);
-        assert_eq!(p.eval.rows_scanned, 2 + 3 + 3);
+        assert_eq!(p.eval.rows_scanned, 2 + 3);
     }
 
     #[test]
@@ -2178,8 +2280,8 @@ mod tests {
         }
         assert_eq!(batched.stats.without_batch_counters(), scalar.stats);
         assert_eq!(scalar.stats.batches_executed, 0);
-        // One batch per metro task's hotel level.
-        assert_eq!(batched.stats.batches_executed, 2);
+        // Both metros fall in one window: one batch for the hotel level.
+        assert_eq!(batched.stats.batches_executed, 1);
         assert_eq!(batched.stats.rows_regrouped, 2);
     }
 
@@ -2209,12 +2311,38 @@ mod tests {
 
     #[test]
     fn bounded_path_demotes_single_binding_batches_to_scalar() {
-        // Each metro task's hotel batch provably carries one binding (the
-        // task root has one instance), so bound-driven planning executes
-        // it scalar — one run with the slot pushdown intact — instead of
-        // the binding-free shared pipeline, which materializes the
-        // stripped rows and regroups them through a hash build per batch.
-        let tree = view();
+        // Two root view nodes, each an implicit aggregate: both root
+        // elements share one window, but each has one instance, so each
+        // hotel batch provably carries one binding. Bound-driven planning
+        // executes them scalar — one run with the slot pushdown intact —
+        // instead of the binding-free shared pipeline, which materializes
+        // the stripped rows and regroups them through a hash build per
+        // batch.
+        let mut tree = SchemaTree::new();
+        for (id, var, hvar, agg) in [(1, "m", "h", "MIN"), (2, "n", "g", "MAX")] {
+            let metro = tree
+                .add_root_node(ViewNode::new(
+                    id,
+                    "metro",
+                    var,
+                    parse_query(&format!("SELECT {agg}(metroid) AS metroid FROM metroarea"))
+                        .unwrap(),
+                ))
+                .unwrap();
+            tree.add_child(
+                metro,
+                ViewNode::new(
+                    id + 2,
+                    "hotel",
+                    hvar,
+                    parse_query(&format!(
+                        "SELECT * FROM hotel WHERE metro_id=${var}.metroid AND starrating > 4"
+                    ))
+                    .unwrap(),
+                ),
+            )
+            .unwrap();
+        }
         let db = db();
         let bounded = Engine::new(&tree)
             .traced(true)
@@ -2247,8 +2375,8 @@ mod tests {
     fn memo_reuses_equal_bindings() {
         // metro -> hotel -> home: the `home` plan reads only $h.metro_id,
         // which is equal for both hotels under metro 1, so the second
-        // sibling is a memo hit inside that subtree task (the memo is
-        // task-scoped, so reuse never crosses root-level siblings).
+        // sibling is a memo hit inside the window (the memo is
+        // window-scoped, so reuse never crosses windows).
         let mut t = SchemaTree::new();
         let metro = t
             .add_root_node(ViewNode::new(
@@ -2285,8 +2413,9 @@ mod tests {
         assert_eq!(p.stats.memo_hits, 1, "{:?}", p.stats);
         // The memoized relation still counts as a query run.
         assert_eq!(p.stats.queries_run, 1 + 2 + 3);
-        // ... but skips the engine entirely.
-        assert_eq!(p.eval.queries, 1 + 2 + 2);
+        // ... but never reaches the engine: the root query, then one
+        // hotel and one home batch for the single window.
+        assert_eq!(p.eval.queries, 1 + 1 + 1);
         // Document content identical to the interpreter's.
         let i = Engine::new(&t)
             .prepared(false)
@@ -2299,7 +2428,7 @@ mod tests {
     #[test]
     fn delta_republish_of_leaf_change_matches_full_republish() {
         let tree = view();
-        let mut database = db();
+        let mut database = wide_db();
         let engine = Engine::new(&tree).incremental(true);
         let prev = engine.session().publish(&database).unwrap();
         assert!(prev.splice.is_some());
@@ -2316,8 +2445,8 @@ mod tests {
         let full = Engine::new(&tree).session().publish(&database).unwrap();
         assert_eq!(after.document.to_xml(), full.document.to_xml());
         assert!(after.document.to_xml().contains("langham"));
-        // One hotel batch across both surviving metros, instead of the
-        // full run's one metro batch + two per-task hotel batches.
+        // One hotel batch across every surviving metro, instead of the
+        // full run's one hotel batch per window of metros.
         assert_eq!(after.stats.batches_reexecuted, 1, "{:?}", after.stats);
         assert!(after.stats.batches_reexecuted < full.stats.batches_executed);
         assert_eq!(after.stats.nodes_respliced, 3); // 3 hotels re-emitted
@@ -2425,23 +2554,25 @@ mod tests {
     #[test]
     fn incremental_publish_splice_covers_every_element() {
         let tree = view();
-        let database = db();
-        let p = Engine::new(&tree)
-            .incremental(true)
-            .parallel(4)
-            .session()
-            .publish(&database)
-            .unwrap();
-        let splice = p.splice.expect("incremental publish records splice");
-        assert_eq!(splice.entries.len(), p.stats.elements);
-        // Every entry's view node exists and the root elements carry their
-        // own binding in child_env.
-        let metro = tree.find_by_paper_id(1).unwrap();
-        let roots = p.document.children(p.document.root()).to_vec();
-        for r in roots {
-            let e = &splice.entries[&r];
-            assert_eq!(e.view, metro);
-            assert!(e.child_env.contains_key("m"));
+        // One window, then several (merged from parallel threads).
+        for database in [db(), wide_db()] {
+            let p = Engine::new(&tree)
+                .incremental(true)
+                .parallel(4)
+                .session()
+                .publish(&database)
+                .unwrap();
+            let splice = p.splice.expect("incremental publish records splice");
+            assert_eq!(splice.entries.len(), p.stats.elements);
+            // Every entry's view node exists and the root elements carry
+            // their own binding in child_env.
+            let metro = tree.find_by_paper_id(1).unwrap();
+            let roots = p.document.children(p.document.root()).to_vec();
+            for r in roots {
+                let e = &splice.entries[&r];
+                assert_eq!(e.view, metro);
+                assert!(e.child_env.contains_key("m"));
+            }
         }
     }
 
@@ -2494,9 +2625,10 @@ mod tests {
             // hotel is memo-served): 1 + 1. Counting memo hits too would
             // give 6.
             assert_eq!(p.stats.rows_regrouped, 3 + 2, "{:?}", p.stats);
-            // One hotel batch + one home batch per metro task.
-            assert_eq!(p.stats.batches_executed, 4);
-            assert_eq!(p.stats.bindings_per_batch_max, 1);
+            // Both metros fall in one window: one hotel batch + one home
+            // batch, each carrying one binding per metro.
+            assert_eq!(p.stats.batches_executed, 2);
+            assert_eq!(p.stats.bindings_per_batch_max, 2);
             // Scalar parity on everything that is not batch-only.
             let s = Engine::new(&t)
                 .batched(false)
@@ -2507,5 +2639,35 @@ mod tests {
             assert_eq!(p.stats.without_batch_counters(), s.stats);
             assert_eq!(p.document.to_xml(), s.document.to_xml());
         }
+
+        // The same view over three windows of metros, so four threads
+        // take whole windows; every counter matches the sequential run.
+        let wide = wide_db();
+        let seq = Engine::new(&t).session().publish(&wide).unwrap();
+        assert_eq!(seq.stats.memo_hits, 1, "{:?}", seq.stats);
+        // 21 hotel rows, plus one home row per hotel except the
+        // memo-served one.
+        assert_eq!(seq.stats.rows_regrouped, 21 + 20, "{:?}", seq.stats);
+        // One hotel and one home batch per window.
+        assert_eq!(
+            seq.stats.batches_executed,
+            2 * WIDE_METROS.div_ceil(ROOT_WINDOW)
+        );
+        let par = Engine::new(&t)
+            .parallel(4)
+            .session()
+            .publish(&wide)
+            .unwrap();
+        assert_eq!(par.stats, seq.stats);
+        assert_eq!(par.eval, seq.eval);
+        assert_eq!(par.document.to_xml(), seq.document.to_xml());
+        let s = Engine::new(&t)
+            .batched(false)
+            .parallel(4)
+            .session()
+            .publish(&wide)
+            .unwrap();
+        assert_eq!(par.stats.without_batch_counters(), s.stats);
+        assert_eq!(par.document.to_xml(), s.document.to_xml());
     }
 }

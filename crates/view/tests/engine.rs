@@ -8,7 +8,7 @@
 use std::sync::RwLock;
 
 use xvc_rel::{parse_query, ColumnDef, ColumnType, Database, IndexKind, TableSchema, Value};
-use xvc_view::{Engine, PublishStats, SchemaTree, ViewNode};
+use xvc_view::{Engine, PublishStats, SchemaTree, ViewNode, ROOT_WINDOW};
 use xvc_xml::documents_equal_unordered;
 
 fn db() -> Database {
@@ -60,8 +60,45 @@ fn db() -> Database {
     db
 }
 
-/// metro → hotel, parameterized on the metro binding: four root-level
-/// sibling subtrees, so `.parallel(4)` actually fans out.
+/// Metros in [`wide_db`]: more than two windows of [`ROOT_WINDOW`] root
+/// subtrees, so `.parallel(n)` hands windows to several threads.
+const WIDE_METROS: i64 = 20;
+
+/// [`db`] widened to [`WIDE_METROS`] metros: metros 5.. each get one
+/// hotel, except every fifth, which gets none.
+fn wide_db() -> Database {
+    let mut db = db();
+    for id in 5..=WIDE_METROS {
+        db.insert(
+            "metroarea",
+            vec![Value::Int(id), Value::Str(format!("metro{id}"))],
+        )
+        .unwrap();
+        if id % 5 != 0 {
+            db.insert(
+                "hotel",
+                vec![
+                    Value::Int(100 + id),
+                    Value::Str(format!("hotel{id}")),
+                    Value::Int(id % 5),
+                    Value::Int(id),
+                ],
+            )
+            .unwrap();
+        }
+    }
+    db
+}
+
+/// The fixtures the parallel tests run on, with their metro counts:
+/// [`db`] fits in one window (so it runs inline whatever `n` is), while
+/// [`wide_db`] spans three and so runs on the threaded path.
+fn parallel_fixtures() -> [(Database, usize); 2] {
+    [(db(), 4), (wide_db(), WIDE_METROS as usize)]
+}
+
+/// metro → hotel, parameterized on the metro binding: one root-level
+/// subtree per metro, cut into windows of [`ROOT_WINDOW`].
 fn view() -> SchemaTree {
     let mut t = SchemaTree::new();
     let metro = t
@@ -89,27 +126,38 @@ fn view() -> SchemaTree {
 #[test]
 fn parallel_publish_is_deterministic() {
     let v = view();
-    let db = db();
-    let sequential = Engine::new(&v).session().publish(&db).unwrap();
-    for n in [2, 4, 8] {
-        let parallel = Engine::new(&v).parallel(n).session().publish(&db).unwrap();
-        // Not just an unordered match: document order is pinned too.
+    for (db, metros) in parallel_fixtures() {
+        let sequential = Engine::new(&v).session().publish(&db).unwrap();
+        // One hotel batch per window: the wide fixture has several windows,
+        // so the parallel runs below really spread over threads.
         assert_eq!(
-            parallel.document.to_pretty_xml(),
-            sequential.document.to_pretty_xml(),
-            "document order changed at parallel({n})"
+            sequential.stats.batches_executed,
+            metros.div_ceil(ROOT_WINDOW)
         );
-        assert!(documents_equal_unordered(
-            &parallel.document,
-            &sequential.document
-        ));
-        // Per-task counters merge deterministically, so every statistic —
-        // publish and eval alike — is independent of the thread count.
-        assert_eq!(parallel.stats, sequential.stats, "stats at parallel({n})");
-        assert_eq!(
-            parallel.eval, sequential.eval,
-            "eval stats at parallel({n})"
-        );
+        for n in [2, 4, 8] {
+            let parallel = Engine::new(&v).parallel(n).session().publish(&db).unwrap();
+            // Not just an unordered match: document order is pinned too.
+            assert_eq!(
+                parallel.document.to_pretty_xml(),
+                sequential.document.to_pretty_xml(),
+                "document order changed at parallel({n}) over {metros} metros"
+            );
+            assert!(documents_equal_unordered(
+                &parallel.document,
+                &sequential.document
+            ));
+            // Per-window counters merge deterministically, so every
+            // statistic — publish and eval alike — is independent of the
+            // thread count.
+            assert_eq!(
+                parallel.stats, sequential.stats,
+                "stats at parallel({n}) over {metros} metros"
+            );
+            assert_eq!(
+                parallel.eval, sequential.eval,
+                "eval stats at parallel({n}) over {metros} metros"
+            );
+        }
     }
 }
 
@@ -213,71 +261,78 @@ fn interpreted_path_matches_prepared_path() {
 #[test]
 fn batched_path_is_identical_to_scalar_path() {
     let v = view();
-    let db = db();
-    for threads in [1, 4] {
-        let scalar = Engine::new(&v)
-            .batched(false)
-            .traced(true)
-            .parallel(threads)
-            .session()
-            .publish(&db)
-            .unwrap();
-        let batched = Engine::new(&v)
-            .traced(true)
-            .parallel(threads)
-            .session()
-            .publish(&db)
-            .unwrap();
-        // Documents bit-identical, order included.
-        assert_eq!(
-            batched.document.to_pretty_xml(),
-            scalar.document.to_pretty_xml(),
-            "documents diverged at parallel({threads})"
-        );
-        // Traces entry-for-entry identical.
-        let (bt, st) = (batched.trace.unwrap(), scalar.trace.unwrap());
-        assert_eq!(bt.entries.len(), st.entries.len());
-        for (b, s) in bt.entries.iter().zip(st.entries.iter()) {
-            assert_eq!(b.path, s.path, "trace paths at parallel({threads})");
-            assert_eq!(b.view, s.view);
-            assert_eq!(b.env, s.env);
+    for (db, metros) in parallel_fixtures() {
+        for threads in [1, 4] {
+            let scalar = Engine::new(&v)
+                .batched(false)
+                .traced(true)
+                .parallel(threads)
+                .session()
+                .publish(&db)
+                .unwrap();
+            let batched = Engine::new(&v)
+                .traced(true)
+                .parallel(threads)
+                .session()
+                .publish(&db)
+                .unwrap();
+            let at = format!("parallel({threads}) over {metros} metros");
+            // Documents bit-identical, order included.
+            assert_eq!(
+                batched.document.to_pretty_xml(),
+                scalar.document.to_pretty_xml(),
+                "documents diverged at {at}"
+            );
+            // Traces entry-for-entry identical.
+            let (bt, st) = (batched.trace.unwrap(), scalar.trace.unwrap());
+            assert_eq!(bt.entries.len(), st.entries.len());
+            for (b, s) in bt.entries.iter().zip(st.entries.iter()) {
+                assert_eq!(b.path, s.path, "trace paths at {at}");
+                assert_eq!(b.view, s.view);
+                assert_eq!(b.env, s.env);
+            }
+            // Publish stats identical modulo the batch-only counters,
+            // which must be zero scalarly and non-zero batched (the hotel
+            // level of each window of metros runs as one batch).
+            assert_eq!(
+                batched.stats.without_batch_counters(),
+                scalar.stats,
+                "stats diverged at {at}"
+            );
+            assert_eq!(scalar.stats.batches_executed, 0);
+            assert_eq!(scalar.stats.rows_regrouped, 0);
+            assert_eq!(batched.stats.batches_executed, metros.div_ceil(ROOT_WINDOW));
+            // One row per hotel.
+            assert_eq!(
+                batched.stats.rows_regrouped,
+                db.table("hotel").unwrap().len()
+            );
+            // The batched engine work is *less*: every hotel batch scans
+            // the hotel table once instead of once per parent tuple.
+            assert!(batched.eval.queries <= scalar.eval.queries);
+            assert!(batched.eval.rows_scanned <= scalar.eval.rows_scanned);
         }
-        // Publish stats identical modulo the batch-only counters, which
-        // must be zero scalarly and non-zero batched (the hotel level of
-        // each metro task runs as a batch).
-        assert_eq!(
-            batched.stats.without_batch_counters(),
-            scalar.stats,
-            "stats diverged at parallel({threads})"
-        );
-        assert_eq!(scalar.stats.batches_executed, 0);
-        assert_eq!(scalar.stats.rows_regrouped, 0);
-        assert!(batched.stats.batches_executed > 0);
-        assert_eq!(batched.stats.rows_regrouped, 5); // one row per hotel
-                                                     // The batched engine work is *less*: every hotel batch scans the
-                                                     // hotel table once instead of once per parent tuple.
-        assert!(batched.eval.queries <= scalar.eval.queries);
-        assert!(batched.eval.rows_scanned <= scalar.eval.rows_scanned);
     }
 }
 
 #[test]
 fn tracing_is_identical_under_parallelism() {
     let v = view();
-    let db = db();
-    let seq = Engine::new(&v).traced(true).session().publish(&db).unwrap();
-    let par = Engine::new(&v)
-        .traced(true)
-        .parallel(4)
-        .session()
-        .publish(&db)
-        .unwrap();
-    let (st, pt) = (seq.trace.unwrap(), par.trace.unwrap());
-    assert_eq!(st.entries.len(), pt.entries.len());
-    for (a, b) in st.entries.iter().zip(pt.entries.iter()) {
-        assert_eq!(a.path, b.path);
-        assert_eq!(a.view, b.view);
-        assert_eq!(a.env, b.env);
+    for (db, _) in parallel_fixtures() {
+        let seq = Engine::new(&v).traced(true).session().publish(&db).unwrap();
+        let par = Engine::new(&v)
+            .traced(true)
+            .parallel(4)
+            .session()
+            .publish(&db)
+            .unwrap();
+        let (st, pt) = (seq.trace.unwrap(), par.trace.unwrap());
+        assert_eq!(st.entries.len(), pt.entries.len());
+        for (a, b) in st.entries.iter().zip(pt.entries.iter()) {
+            assert_eq!(a.path, b.path);
+            assert_eq!(a.view, b.view);
+            assert_eq!(a.env, b.env);
+        }
     }
 }
 
@@ -338,24 +393,25 @@ fn concurrent_sessions_never_double_count_plan_lookups() {
 fn concurrent_publishes_are_byte_identical_to_single_shot() {
     const THREADS: usize = 8;
     let v = view();
-    let db = db();
-    let expected = Engine::new(&v).session().publish(&db).unwrap();
-    let expected_xml = expected.document.to_xml();
+    for (db, _) in parallel_fixtures() {
+        let expected = Engine::new(&v).session().publish(&db).unwrap();
+        let expected_xml = expected.document.to_xml();
 
-    let engine = Engine::new(&v).parallel(2);
-    std::thread::scope(|s| {
-        for t in 0..THREADS {
-            let engine = engine.clone();
-            let (db, expected_xml) = (&db, &expected_xml);
-            s.spawn(move || {
-                for _ in 0..5 {
-                    let p = engine.session().publish(db).unwrap();
-                    assert_eq!(&p.document.to_xml(), expected_xml, "thread {t} diverged");
-                }
-            });
-        }
-    });
-    assert_eq!(engine.totals().publishes, THREADS * 5);
+        let engine = Engine::new(&v).parallel(2);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let engine = engine.clone();
+                let (db, expected_xml) = (&db, &expected_xml);
+                s.spawn(move || {
+                    for _ in 0..5 {
+                        let p = engine.session().publish(db).unwrap();
+                        assert_eq!(&p.document.to_xml(), expected_xml, "thread {t} diverged");
+                    }
+                });
+            }
+        });
+        assert_eq!(engine.totals().publishes, THREADS * 5);
+    }
 }
 
 #[test]

@@ -60,9 +60,9 @@
 //!
 //! // Publish through an Engine: tag queries are compiled to prepared
 //! // plans once and cached across publishes (and across concurrent
-//! // sessions); `.parallel(n)` evaluates independent root subtrees on n
-//! // threads. Each request-scoped Session publishes through the shared
-//! // warm cache.
+//! // sessions); `.parallel(n)` evaluates windows of ROOT_WINDOW (8)
+//! // independent root subtrees on n threads. Each request-scoped
+//! // Session publishes through the shared warm cache.
 //! let engine = Engine::new(&composition.view);
 //! let direct = engine.session().publish(&db).unwrap().document;
 //!

@@ -551,7 +551,7 @@ fn dispatch(state: &Arc<State>, request: &Request) -> Response {
 /// `GET /publish`: a fresh publish against the live database through a
 /// throwaway session, streamed to the client as a chunked response —
 /// [`Session::publish_to`](crate::view::Session::publish_to) serializes
-/// each root-level subtree into the socket as it is produced, so the
+/// each window of root-level subtrees into the socket as it is produced, so the
 /// output document is never materialized server-side. Concurrent calls
 /// share the warm plan cache and block only if a write is mid-flight.
 ///

@@ -1,15 +1,25 @@
-//! Linear-scaling gate for the paper's own workload: the Figure 1 view
-//! composed with the Figure 4 stylesheet. UNBIND/NEST (§4.2) emits its
-//! two parameterized tag queries in the shapes the set-oriented executor
-//! decorrelates — a slot inside an `OUTER (…) AS TEMP` derived table and
-//! a slot inside a sibling `EXISTS` — so each batch must run its tables
-//! once, not once per binding. The gates are deterministic counters, not
-//! times: rows scanned per database row, batches per publish, and
-//! byte-identity with the per-binding reference publisher.
+//! Scaling gates for set-oriented publishing.
+//!
+//! The paper's own workload: the Figure 1 view composed with the Figure 4
+//! stylesheet. UNBIND/NEST (§4.2) emits its two parameterized tag queries
+//! in the shapes the set-oriented executor decorrelates — a slot inside an
+//! `OUTER (…) AS TEMP` derived table and a slot inside a sibling `EXISTS`
+//! — so each batch must run its tables once, not once per binding.
+//!
+//! The breadth workload: many root elements, each with a small subtree.
+//! The root instances are cut into windows of `ROOT_WINDOW`, and each
+//! window's child levels run as one batch per view node, so batches grow
+//! with the number of windows, not of roots.
+//!
+//! The gates are deterministic counters, not times: rows scanned per
+//! database row, batches per publish, and byte-identity with the
+//! per-binding reference publisher.
 
 use xvc::core::paper_fixtures::figure1_view;
 use xvc::prelude::*;
+use xvc::view::ROOT_WINDOW;
 use xvc::xslt::parse::FIGURE4_XSLT;
+use xvc_bench::synthetic::{all_regions_view, needle_database};
 use xvc_bench::workload::{generate, WorkloadConfig};
 
 fn composed(catalog: &Catalog) -> SchemaTree {
@@ -73,6 +83,59 @@ fn composed_figure4_scans_each_row_at_most_twice_at_every_scale() {
             batched.stats.batches_executed, 3,
             "scale {scale}: {:?}",
             batched.stats
+        );
+    }
+}
+
+#[test]
+fn breadth_view_batches_once_per_window_at_every_scale() {
+    let view = all_regions_view();
+    let (customers_per_region, orders_per_customer) = (5, 4);
+    for regions in [20, 200] {
+        let db = needle_database(regions, customers_per_region, orders_per_customer);
+        let customers = regions * customers_per_region;
+        let orders = customers * orders_per_customer;
+        let windows = regions.div_ceil(ROOT_WINDOW);
+
+        // Fresh engines, so both runs prepare their plans alike.
+        let published = Engine::new(&view).session().publish(&db).unwrap();
+        let mut bytes = Vec::new();
+        let streamed = Engine::new(&view)
+            .session()
+            .publish_to(&db, &mut bytes)
+            .unwrap();
+        let reference = Engine::new(&view)
+            .batched(false)
+            .session()
+            .publish(&db)
+            .unwrap();
+        let xml = published.document.to_xml();
+        assert_eq!(
+            String::from_utf8(bytes).unwrap(),
+            xml,
+            "{regions} regions: streamed and materialized documents differ"
+        );
+        assert_eq!(
+            reference.document.to_xml(),
+            xml,
+            "{regions} regions: batched and per-binding documents differ"
+        );
+        assert_eq!(streamed.stats, published.stats, "{regions} regions");
+        assert_eq!(streamed.eval, published.eval, "{regions} regions");
+
+        // One customer batch and one order batch per window; the root
+        // query scans `region` once, each batch its table once.
+        assert_eq!(
+            published.stats.batches_executed,
+            2 * windows,
+            "{regions} regions: {:?}",
+            published.stats
+        );
+        assert_eq!(
+            published.eval.rows_scanned as usize,
+            regions + windows * (customers + orders),
+            "{regions} regions: {:?}",
+            published.eval
         );
     }
 }

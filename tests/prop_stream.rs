@@ -3,7 +3,7 @@
 //! `Document::to_xml()` (and `publish_pretty_to` those of
 //! `to_pretty_xml()`) — across generator presets and across the in-memory
 //! and paged storage backends. The streaming path shares the batched
-//! frontier walk but swaps the arena document for a per-task skeleton, so
+//! frontier walk but swaps the arena document for a per-window skeleton, so
 //! any drift between the two element stores shows up here as a byte diff.
 
 use proptest::prelude::*;
