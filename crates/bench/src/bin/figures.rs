@@ -373,6 +373,20 @@ fn main() {
             last.workload,
             last.reexecution_fraction() * 100.0
         );
+        // The inserted leaf reaches one parent, so the delta re-emits that
+        // parent's leaves (`fanout + 1` after the insert) and nothing else,
+        // however large the document: key targeting must hold.
+        for (&(_, fanout), r) in configs.iter().zip(&irows) {
+            assert!(
+                r.nodes_respliced <= fanout + 1,
+                "{}: delta re-emitted {} elements, more than the {} leaves of \
+                 the one parent the insert reaches — re-emission grew with \
+                 the document",
+                r.workload,
+                r.nodes_respliced,
+                fanout + 1
+            );
+        }
         json_objects.extend(render_incr_objects(&irows));
     }
 

@@ -979,6 +979,21 @@ fn batch_key_of(v: &Value) -> Key {
     }
 }
 
+/// A value as the binding hash join keys it: two non-NULL values whose
+/// SQL `=` holds map to equal keys (`Int` and `Float` unify, `-0.0` folds
+/// onto `0.0`). Distinct values may share a key — large integers that
+/// round to one `f64` — so a key match over-approximates `=`, never
+/// under-approximates it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct JoinKey(Key);
+
+impl JoinKey {
+    /// The key of `v`, or `None` for NULL, which `=` matches with nothing.
+    pub fn of(v: &Value) -> Option<JoinKey> {
+        (!v.is_null()).then(|| JoinKey(batch_key_of(v)))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Execution
 // ---------------------------------------------------------------------------
@@ -2518,6 +2533,15 @@ mod tests {
         env
     }
 
+    #[test]
+    fn join_keys_follow_sql_equality() {
+        let key = |v: Value| JoinKey::of(&v);
+        assert_eq!(key(Value::Int(3)), key(Value::Float(3.0)));
+        assert_eq!(key(Value::Float(-0.0)), key(Value::Int(0)));
+        assert_ne!(key(Value::Int(1)), key(Value::Str("1".into())));
+        assert_ne!(key(Value::Int(1)), key(Value::Bool(true)));
+        assert_eq!(key(Value::Null), None);
+    }
     #[test]
     fn scan_filter_join_parity() {
         let db = hotel_db();

@@ -31,13 +31,14 @@
 //! ```
 
 use std::io;
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 use xvc_rel::{prepare, Catalog, Database, Delta, EvalStats};
 use xvc_xml::{PrettyXmlWriter, XmlSink, XmlWriter};
 
 use crate::bounds::{analyze_view_bounds, ViewBounds};
 use crate::error::Result;
+use crate::lineage::Lineage;
 use crate::publish::{
     guard_probe, run_delta_republish, run_full_publish, run_stream_publish, PlanCache, PlanEntry,
     PublishConfig, PublishStats, Published, Role,
@@ -95,6 +96,9 @@ struct EngineShared {
     cfg: Config,
     cache: RwLock<PlanCache>,
     totals: Mutex<EngineTotals>,
+    /// The tree's table dependencies and key lineage, analyzed on the
+    /// first [`Session::republish_delta`] and reused by every later one.
+    lineage: OnceLock<Lineage>,
 }
 
 /// An owned, `Send + Sync` publishing engine: schema tree + shared
@@ -132,6 +136,7 @@ impl Engine {
                 cfg,
                 cache: RwLock::new(PlanCache::default()),
                 totals: Mutex::new(EngineTotals::default()),
+                lineage: OnceLock::new(),
             }),
         }
     }
@@ -199,7 +204,10 @@ impl Engine {
     }
 
     /// Record the splice index ([`Published::splice`]) on batched
-    /// publishes so results can seed [`Session::republish_delta`].
+    /// publishes so results can seed [`Session::republish_delta`]. The
+    /// index maps every element to its view node and, for elements whose
+    /// view node has children, to the shared environment those children
+    /// run under; streamed publishes ([`Session::publish_to`]) record none.
     pub fn incremental(self, on: bool) -> Self {
         self.reconfig(|c| c.publish.incremental = on)
     }
@@ -501,8 +509,24 @@ impl Session {
     /// through the conservative table → view-node dependency map
     /// ([`crate::TableDeps`]), re-executes only the *top-most* affected
     /// view nodes — level-at-a-time, one batch per (view node, wave)
-    /// across **all** surviving parent instances at once — and splices the
-    /// fresh subtrees into `prev`'s document in place of the stale ones.
+    /// across all the parent instances it re-runs them under — and
+    /// splices the fresh subtrees into `prev`'s document in place of the
+    /// stale ones.
+    ///
+    /// **Key targeting.** A top node whose tag query reads a changed table
+    /// `T` only as one top-level FROM item keyed by a top-level conjunct
+    /// `T.col = $v.c` is re-run only under the parent instances whose
+    /// `$v.c` equals (under SQL `=`, NULL matching nothing) the `col` of
+    /// some inserted or deleted row; the other parents' subtrees are
+    /// copied unchanged. The node falls back to every parent when `T` is
+    /// read twice, or inside a derived table or `EXISTS`, when the key
+    /// equality is not a top-level conjunct, when its guard reads `T`,
+    /// when a proper descendant reads a changed table, when a delta row's
+    /// key is NULL, and always for root-level nodes. The lineage behind
+    /// this is analyzed once per engine, on its first delta.
+    ///
+    /// The cost is the re-executed batches plus one copy walk of the
+    /// document (the arena has no in-place splice), not a full publish.
     ///
     /// `prev` must come from an `incremental` engine (so it carries a
     /// [`crate::SpliceIndex`]); otherwise, or on the scalar path, the call
@@ -531,8 +555,12 @@ impl Session {
             shared.tree.validate()?;
             let mut stats = PublishStats::default();
             let cache = self.engine.ensure_plans(db, &mut stats);
+            let lineage = shared
+                .lineage
+                .get_or_init(|| Lineage::analyze(&shared.tree));
             run_delta_republish(
                 &shared.tree,
+                lineage,
                 &cache.plans,
                 &shared.cfg.publish,
                 db,

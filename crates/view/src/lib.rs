@@ -37,6 +37,7 @@ pub mod bounds;
 pub mod display;
 pub mod engine;
 pub mod error;
+mod lineage;
 pub mod parse;
 pub mod publish;
 pub mod schema_tree;

@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use xvc_rel::{
     eval_query_stats, Database, EvalOptions, EvalStats, NamedTuple, ParamEnv, PreparedPlan,
@@ -28,6 +28,7 @@ use xvc_rel::{
 use xvc_xml::{Document, TreeBuilder, XmlSink};
 
 use crate::error::Result;
+use crate::lineage::{KeyFilter, Lineage};
 use crate::schema_tree::{AttrProjection, SchemaTree, ViewNodeId};
 
 /// Materialization statistics for one publish run.
@@ -179,14 +180,16 @@ impl PublishTrace {
 /// Splice provenance of one published element: which view node produced
 /// it and the parameter environment its *children* were expanded under.
 /// This is exactly what the delta path needs to re-run a child node under
-/// one surviving parent instance.
+/// one surviving parent instance. The environment is shared, not copied:
+/// sibling elements and every later splice index point at one allocation.
 #[derive(Debug, Clone)]
 pub struct SpliceEntry {
     /// The schema-tree node that emitted the element.
     pub view: ViewNodeId,
     /// The environment the element's children run under (the element's
-    /// own binding variable included).
-    pub child_env: ParamEnv,
+    /// own binding variable included). `None` when the view node has no
+    /// children: a leaf's environment can never seed a delta.
+    pub child_env: Option<Arc<ParamEnv>>,
 }
 
 /// Per-element splice provenance of a batched publish, keyed by document
@@ -304,10 +307,13 @@ pub(crate) fn run_full_publish(
 
 /// Delta-republish orchestration behind
 /// [`crate::Session::republish_delta`]. Same caller contract as
-/// [`run_full_publish`], plus: `prev` carries a splice index and `cfg` is
-/// batched (the caller handles the full-republish fallback).
+/// [`run_full_publish`], plus: `lineage` was analyzed from `tree`, `prev`
+/// carries a splice index and `cfg` is batched (the caller handles the
+/// full-republish fallback).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_delta_republish(
     tree: &SchemaTree,
+    lineage: &Lineage,
     plans: &HashMap<PlanKey, PlanEntry>,
     cfg: &PublishConfig,
     db: &Database,
@@ -315,7 +321,7 @@ pub(crate) fn run_delta_republish(
     delta: &xvc_rel::Delta,
     stats: PublishStats,
 ) -> Result<Published> {
-    Run { tree, plans, cfg }.delta(db, prev, delta, stats)
+    Run { tree, plans, cfg }.delta(db, lineage, prev, delta, stats)
 }
 
 /// Streaming-publish orchestration behind [`crate::Session::publish_to`]:
@@ -444,15 +450,15 @@ impl Run<'_> {
             // remaps every recorded node id.
             let mut entries = HashMap::new();
             let mut final_roots = document.children(document.root()).iter().copied();
-            for (doc, part) in &splice_parts {
+            for (doc, mut part) in splice_parts {
                 for &kid in doc.children(doc.root()) {
                     let froot = final_roots.next().expect("merge keeps root children");
                     for (o, n) in doc
                         .descendants_or_self(kid)
                         .zip(document.descendants_or_self(froot))
                     {
-                        if let Some(e) = part.get(&o) {
-                            entries.insert(n, e.clone());
+                        if let Some(e) = part.remove(&o) {
+                            entries.insert(n, e);
                         }
                     }
                 }
@@ -522,12 +528,14 @@ impl Run<'_> {
     /// through the conservative table → view-node dependency map
     /// ([`crate::TableDeps`]), re-executes only the *top-most* affected
     /// view nodes — level-at-a-time, one batch per (view node, wave)
-    /// across **all** surviving parent instances at once — and splices the
-    /// fresh subtrees into `prev`'s document in place of the stale ones.
+    /// across every parent instance the delta can reach, or across all of
+    /// them where the key lineage cannot tell — and splices the fresh
+    /// subtrees into `prev`'s document in place of the stale ones.
     /// See [`crate::Session::republish_delta`] for the full contract.
     fn delta(
         &self,
         db: &Database,
+        lineage: &Lineage,
         prev: &Published,
         delta: &xvc_rel::Delta,
         mut stats: PublishStats,
@@ -536,8 +544,7 @@ impl Run<'_> {
         stats.delta_rows_in = delta.row_count();
 
         let tree = self.tree;
-        let deps = crate::table_deps::TableDeps::analyze(tree);
-        let affected = deps.affected_by(&delta.tables_changed());
+        let affected = lineage.deps.affected_by(&delta.tables_changed());
         if affected.is_empty() {
             return Ok(Published {
                 document: prev.document.clone(),
@@ -551,8 +558,10 @@ impl Run<'_> {
 
         // Top-most affected nodes: re-executing a node re-executes its
         // whole subtree, so an affected node with an affected proper
-        // ancestor is already covered.
-        let mut tops_by_parent: HashMap<usize, Vec<ViewNodeId>> = HashMap::new();
+        // ancestor is already covered. A non-root top carries the key
+        // filter of the parents it is seeded under (`None`: all of them).
+        let mut tops_by_parent: HashMap<usize, Vec<(ViewNodeId, Option<KeyFilter>)>> =
+            HashMap::new();
         let mut root_tops: Vec<ViewNodeId> = Vec::new();
         for vid in tree.node_ids() {
             if !affected.contains(&vid.index()) {
@@ -577,11 +586,15 @@ impl Run<'_> {
             if tree.is_root(parent) {
                 root_tops.push(vid);
             } else {
-                tops_by_parent.entry(parent.index()).or_default().push(vid);
+                let filter = lineage.key_filter(tree, vid, delta, db);
+                tops_by_parent
+                    .entry(parent.index())
+                    .or_default()
+                    .push((vid, filter));
             }
         }
 
-        // Re-execute every (surviving parent instance, top node) pair in
+        // Re-execute every (reached parent instance, top node) pair in
         // one shared frontier: each pair grows under its own holder
         // element, and the wave loop batches per (view node, wave) across
         // all holders at once.
@@ -599,30 +612,22 @@ impl Run<'_> {
         let mut patches: HashMap<xvc_xml::NodeId, Vec<(ViewNodeId, xvc_xml::NodeId)>> =
             HashMap::new();
         let mut frontier: Vec<Pending> = Vec::new();
-        let seed = |w: &mut BatchWorker<'_>,
-                    frontier: &mut Vec<Pending>,
-                    patches: &mut HashMap<xvc_xml::NodeId, Vec<(ViewNodeId, xvc_xml::NodeId)>>,
-                    prev_parent: xvc_xml::NodeId,
-                    vid: ViewNodeId,
-                    env: ParamEnv| {
+        let mut seed = |w: &mut BatchWorker<'_>,
+                        prev_parent: xvc_xml::NodeId,
+                        vid: ViewNodeId,
+                        env: Arc<ParamEnv>| {
             let holder = w.doc.create_element("delta-holder");
             w.doc.append_child(wroot, holder);
             patches.entry(prev_parent).or_default().push((vid, holder));
             frontier.push(Pending {
                 parent: holder,
                 vid,
-                env: Rc::new(env),
+                env,
             });
         };
+        let root_env = Arc::new(ParamEnv::new());
         for &n in &root_tops {
-            seed(
-                &mut w,
-                &mut frontier,
-                &mut patches,
-                prev.document.root(),
-                n,
-                ParamEnv::new(),
-            );
+            seed(&mut w, prev.document.root(), n, Arc::clone(&root_env));
         }
         if !tops_by_parent.is_empty() {
             for pid in prev.document.descendants_or_self(prev.document.root()) {
@@ -632,15 +637,14 @@ impl Run<'_> {
                 let Some(tops) = tops_by_parent.get(&entry.view.index()) else {
                     continue;
                 };
-                for &n in tops {
-                    seed(
-                        &mut w,
-                        &mut frontier,
-                        &mut patches,
-                        pid,
-                        n,
-                        entry.child_env.clone(),
-                    );
+                let env = entry
+                    .child_env
+                    .as_ref()
+                    .expect("an element with child view nodes records their environment");
+                for (n, filter) in tops {
+                    if filter.as_ref().is_none_or(|f| f.reaches(env)) {
+                        seed(&mut w, pid, *n, Arc::clone(env));
+                    }
                 }
             }
         }
@@ -824,13 +828,13 @@ fn push_children<Id: Copy>(
     tree: &SchemaTree,
     vid: ViewNodeId,
     el: Id,
-    env: &Rc<ParamEnv>,
+    env: &Arc<ParamEnv>,
 ) {
     for &c in tree.children(vid) {
         next.push(Pending {
             parent: el,
             vid: c,
-            env: Rc::clone(env),
+            env: Arc::clone(env),
         });
     }
 }
@@ -933,8 +937,6 @@ impl Graft<'_> {
     /// would produce).
     fn copy_children(&mut self, old_parent: xvc_xml::NodeId, new_parent: xvc_xml::NodeId) {
         let patch = self.patches.get(&old_parent).map_or(&[][..], Vec::as_slice);
-        let replaced: std::collections::HashSet<usize> =
-            patch.iter().map(|(vid, _)| vid.index()).collect();
         let mut pi = 0;
         for &c in self.old.children(old_parent) {
             let cv = self.old_splice.get(&c).map(|e| e.view.index());
@@ -943,7 +945,7 @@ impl Graft<'_> {
                     self.graft_holder(patch[pi].1, new_parent);
                     pi += 1;
                 }
-                if replaced.contains(&cv) {
+                if patch.iter().any(|(vid, _)| vid.index() == cv) {
                     continue;
                 }
             }
@@ -1040,7 +1042,7 @@ fn copy_subtree(
 struct Pending<Id = xvc_xml::NodeId> {
     parent: Id,
     vid: ViewNodeId,
-    env: Rc<ParamEnv>,
+    env: Arc<ParamEnv>,
 }
 
 /// Where the batched frontier walk materializes elements: the arena
@@ -1282,7 +1284,7 @@ struct BatchWorker<'a, S: WaveStore = Document> {
     /// memo. Relations are shared with the batch output slots, not copied.
     memo: HashMap<String, Rc<Relation>>,
     /// Element provenance for trace reconstruction (tracing runs only).
-    prov: HashMap<S::Id, (ViewNodeId, Rc<ParamEnv>)>,
+    prov: HashMap<S::Id, (ViewNodeId, Arc<ParamEnv>)>,
     /// Splice provenance (splice-collecting runs only).
     splice: HashMap<S::Id, SpliceEntry>,
     /// View nodes whose guard / tag batches this worker issued (delta-path
@@ -1314,7 +1316,7 @@ impl<'a, S: WaveStore> BatchWorker<'a, S> {
     /// `root`, in document order, and returns the frontier of their child
     /// view nodes.
     fn seed_window(&mut self, root: S::Id, window: &[Root]) -> Vec<Pending<S::Id>> {
-        let env = Rc::new(ParamEnv::new());
+        let env = Arc::new(ParamEnv::new());
         let mut frontier = Vec::new();
         for r in window {
             let row = r.tuple.as_ref().map(|t| (&t.columns[..], &t.values[..]));
@@ -1328,35 +1330,34 @@ impl<'a, S: WaveStore> BatchWorker<'a, S> {
     /// projected attributes of its tuple row (`(columns, values)`),
     /// counters, provenance — and returns it with the environment its
     /// children run under. A node with no children builds no child
-    /// environment (unless splice provenance records it) and hands back
-    /// `env`. The per-node-kind logic mirrors [`Worker::emit_instance`]
-    /// exactly.
+    /// environment and hands back `env`. The per-node-kind logic mirrors
+    /// [`Worker::emit_instance`] exactly.
     fn emit_node_instance(
         &mut self,
         parent: S::Id,
         vid: ViewNodeId,
-        env: &Rc<ParamEnv>,
+        env: &Arc<ParamEnv>,
         row: Option<(&[String], &[xvc_rel::Value])>,
-    ) -> (S::Id, Rc<ParamEnv>) {
+    ) -> (S::Id, Arc<ParamEnv>) {
         let tree = self.shared.tree;
         let node = tree.node(vid).expect("non-root id");
         let el = self.doc.create_element(&node.tag);
         self.doc.append_child(parent, el);
         self.stats.elements += 1;
         if self.shared.tracing {
-            self.prov.insert(el, (vid, Rc::clone(env)));
+            self.prov.insert(el, (vid, Arc::clone(env)));
         }
         for (k, v) in &node.static_attrs {
             self.doc.set_attr(el, k, v);
             self.stats.attributes += 1;
         }
-        let needs_env = self.shared.collect_splice || !tree.children(vid).is_empty();
-        let mut child_env = Rc::clone(env);
+        let needs_env = !tree.children(vid).is_empty();
+        let mut child_env = Arc::clone(env);
         if let Some(var) = &node.context_tuple_of {
             if let Some(t) = env.get(var) {
                 self.set_tuple_attrs(el, &node.attrs, &t.columns, &t.values);
                 if needs_env && !node.bv.is_empty() {
-                    Rc::make_mut(&mut child_env).insert(node.bv.clone(), t.clone());
+                    Arc::make_mut(&mut child_env).insert(node.bv.clone(), t.clone());
                 }
             }
         } else if let Some((columns, values)) = row {
@@ -1366,7 +1367,7 @@ impl<'a, S: WaveStore> BatchWorker<'a, S> {
                     columns: columns.to_vec(),
                     values: values.to_vec(),
                 };
-                Rc::make_mut(&mut child_env).insert(node.bv.clone(), t);
+                Arc::make_mut(&mut child_env).insert(node.bv.clone(), t);
             }
         }
         if self.shared.collect_splice {
@@ -1374,7 +1375,7 @@ impl<'a, S: WaveStore> BatchWorker<'a, S> {
                 el,
                 SpliceEntry {
                     view: vid,
-                    child_env: (*child_env).clone(),
+                    child_env: needs_env.then(|| Arc::clone(&child_env)),
                 },
             );
         }
@@ -2449,7 +2450,9 @@ mod tests {
         // full run's one hotel batch per window of metros.
         assert_eq!(after.stats.batches_reexecuted, 1, "{:?}", after.stats);
         assert!(after.stats.batches_reexecuted < full.stats.batches_executed);
-        assert_eq!(after.stats.nodes_respliced, 3); // 3 hotels re-emitted
+        // Only chicago's hotels are re-emitted (palmer and langham): the
+        // insert's metro_id reaches no other metro.
+        assert_eq!(after.stats.nodes_respliced, 2);
         assert_eq!(after.stats.delta_rows_in, 1);
         // Only the hotel node re-executed.
         let hotel = tree.find_by_paper_id(3).unwrap();
@@ -2551,6 +2554,124 @@ mod tests {
         assert_eq!(after.stats.nodes_respliced, 0);
     }
 
+    /// Publishes `tree` incrementally on [`wide_db`], applies `dml`, and
+    /// checks the delta republish byte-for-byte against a full one.
+    /// Returns the number of parent bindings the delta run seeded: its
+    /// widest batch, as every parent metro carries a distinct binding.
+    fn seeded_parents(tree: &SchemaTree, dml: &str) -> usize {
+        let mut database = wide_db();
+        let engine = Engine::new(tree).incremental(true);
+        let prev = engine.session().publish(&database).unwrap();
+        let delta = database.execute_dml(dml).unwrap();
+        let after = engine
+            .session()
+            .republish_delta(&database, &prev, &delta)
+            .unwrap();
+        let full = Engine::new(tree).session().publish(&database).unwrap();
+        assert_eq!(after.document.to_xml(), full.document.to_xml(), "{dml}");
+        after.stats.bindings_per_batch_max
+    }
+
+    /// `metro` with one child node `tag` running `sql` (and `guard`).
+    fn metro_with_child(tag: &str, sql: &str, guard: Option<&str>) -> SchemaTree {
+        let mut t = SchemaTree::new();
+        let metro = t
+            .add_root_node(ViewNode::new(
+                1,
+                "metro",
+                "m",
+                parse_query("SELECT metroid, metroname FROM metroarea").unwrap(),
+            ))
+            .unwrap();
+        let mut child = ViewNode::new(2, tag, "h", parse_query(sql).unwrap());
+        child.guard = guard.map(|g| {
+            parse_query(&format!("SELECT 1 FROM metroarea WHERE {g}"))
+                .unwrap()
+                .where_clause
+                .unwrap()
+        });
+        t.add_child(metro, child).unwrap();
+        t
+    }
+
+    const LUXURY_INSERT: &str = "INSERT INTO hotel VALUES (13, 'langham', 5, 1)";
+
+    #[test]
+    fn keyed_delta_seeds_only_the_parents_its_rows_reach() {
+        // `metro_id = $m.metroid` keys the hotel node's only read of
+        // `hotel`: the insert reaches chicago alone, and a delete reaches
+        // the metros of the rows it removed.
+        assert_eq!(seeded_parents(&view(), LUXURY_INSERT), 1);
+        assert_eq!(
+            seeded_parents(
+                &view(),
+                "DELETE FROM hotel WHERE hotelid = 12 OR hotelid = 104"
+            ),
+            2
+        );
+        // A key no published metro carries reaches nothing.
+        assert_eq!(
+            seeded_parents(&view(), "INSERT INTO hotel VALUES (13, 'x', 5, 999)"),
+            0
+        );
+    }
+
+    #[test]
+    fn unkeyed_shapes_seed_every_parent() {
+        let all = WIDE_METROS;
+        // `hotel` read twice.
+        let twice = metro_with_child(
+            "hotel",
+            "SELECT a.hotelid, a.hotelname FROM hotel a, hotel b \
+             WHERE a.metro_id = $m.metroid AND b.hotelid = a.hotelid AND b.starrating > 4",
+            None,
+        );
+        assert_eq!(seeded_parents(&twice, LUXURY_INSERT), all);
+        // `hotel` read only inside EXISTS.
+        let exists = metro_with_child(
+            "luxury",
+            "SELECT metroname FROM metroarea WHERE metroid = $m.metroid \
+             AND EXISTS (SELECT 1 FROM hotel WHERE metro_id = $m.metroid AND starrating > 4)",
+            None,
+        );
+        assert_eq!(seeded_parents(&exists, LUXURY_INSERT), all);
+        // The key equality under an OR.
+        let or = metro_with_child(
+            "hotel",
+            "SELECT * FROM hotel WHERE (metro_id = $m.metroid OR hotelid = 11) \
+             AND starrating > 4",
+            None,
+        );
+        assert_eq!(seeded_parents(&or, LUXURY_INSERT), all);
+        // A guard that reads `hotel`.
+        let guarded = metro_with_child(
+            "hotel",
+            "SELECT * FROM hotel WHERE metro_id = $m.metroid AND starrating > 4",
+            Some("EXISTS (SELECT 1 FROM hotel WHERE hotelid = 13)"),
+        );
+        assert_eq!(seeded_parents(&guarded, LUXURY_INSERT), all);
+        // An affected descendant: the hotel node's child reads `hotel` too.
+        let mut deep = view();
+        let hotel = deep.find_by_paper_id(3).unwrap();
+        deep.add_child(
+            hotel,
+            ViewNode::new(
+                4,
+                "peer",
+                "p",
+                parse_query("SELECT hotelname FROM hotel WHERE starrating = $h.starrating")
+                    .unwrap(),
+            ),
+        )
+        .unwrap();
+        assert_eq!(seeded_parents(&deep, LUXURY_INSERT), all);
+        // A NULL key in the delta row.
+        assert_eq!(
+            seeded_parents(&view(), "INSERT INTO hotel VALUES (13, 'nowhere', 5, NULL)"),
+            all
+        );
+    }
+
     #[test]
     fn incremental_publish_splice_covers_every_element() {
         let tree = view();
@@ -2564,14 +2685,18 @@ mod tests {
                 .unwrap();
             let splice = p.splice.expect("incremental publish records splice");
             assert_eq!(splice.entries.len(), p.stats.elements);
-            // Every entry's view node exists and the root elements carry
-            // their own binding in child_env.
+            // Every entry's view node exists, the root elements carry
+            // their own binding in child_env, and the leaf hotels record
+            // no environment.
             let metro = tree.find_by_paper_id(1).unwrap();
             let roots = p.document.children(p.document.root()).to_vec();
             for r in roots {
                 let e = &splice.entries[&r];
                 assert_eq!(e.view, metro);
-                assert!(e.child_env.contains_key("m"));
+                assert!(e.child_env.as_ref().unwrap().contains_key("m"));
+                for c in p.document.children(r) {
+                    assert!(splice.entries[c].child_env.is_none());
+                }
             }
         }
     }

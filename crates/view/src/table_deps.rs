@@ -34,11 +34,14 @@ impl TableDeps {
         for vid in tree.node_ids() {
             let node = tree.node(vid).expect("non-root id");
             let mut tables = BTreeSet::new();
+            let mut add = |name: &str| {
+                tables.insert(name.to_owned());
+            };
             if let Some(q) = &node.query {
-                collect_query_tables(q, &mut tables);
+                visit_query_tables(q, &mut add);
             }
             if let Some(g) = &node.guard {
-                collect_expr_tables(g, &mut tables);
+                visit_expr_tables(g, &mut add);
             }
             per_node.insert(vid.index(), tables);
         }
@@ -69,46 +72,44 @@ impl TableDeps {
     }
 }
 
-/// Collects every table name a query mentions: named FROM items, derived
+/// Calls `f` once per named table occurrence in `q`: FROM items, derived
 /// tables, and `EXISTS` subqueries in any clause.
-pub(crate) fn collect_query_tables(q: &SelectQuery, out: &mut BTreeSet<String>) {
+pub(crate) fn visit_query_tables(q: &SelectQuery, f: &mut impl FnMut(&str)) {
     for item in &q.from {
         match item {
-            TableRef::Named { name, .. } => {
-                out.insert(name.clone());
-            }
-            TableRef::Derived { query, .. } => collect_query_tables(query, out),
+            TableRef::Named { name, .. } => f(name),
+            TableRef::Derived { query, .. } => visit_query_tables(query, f),
         }
     }
     for item in &q.select {
         if let xvc_rel::SelectItem::Expr { expr, .. } = item {
-            collect_expr_tables(expr, out);
+            visit_expr_tables(expr, f);
         }
     }
     if let Some(w) = &q.where_clause {
-        collect_expr_tables(w, out);
+        visit_expr_tables(w, f);
     }
     for e in &q.group_by {
-        collect_expr_tables(e, out);
+        visit_expr_tables(e, f);
     }
     if let Some(h) = &q.having {
-        collect_expr_tables(h, out);
+        visit_expr_tables(h, f);
     }
 }
 
-/// Collects table names from `EXISTS` subqueries nested in a scalar
-/// expression (guards and predicates).
-pub(crate) fn collect_expr_tables(e: &ScalarExpr, out: &mut BTreeSet<String>) {
+/// Calls `f` once per named table occurrence in the `EXISTS` subqueries
+/// nested in a scalar expression.
+pub(crate) fn visit_expr_tables(e: &ScalarExpr, f: &mut impl FnMut(&str)) {
     match e {
         ScalarExpr::Binary { lhs, rhs, .. } => {
-            collect_expr_tables(lhs, out);
-            collect_expr_tables(rhs, out);
+            visit_expr_tables(lhs, f);
+            visit_expr_tables(rhs, f);
         }
-        ScalarExpr::Not(inner) | ScalarExpr::IsNull(inner) => collect_expr_tables(inner, out),
-        ScalarExpr::Exists(q) => collect_query_tables(q, out),
+        ScalarExpr::Not(inner) | ScalarExpr::IsNull(inner) => visit_expr_tables(inner, f),
+        ScalarExpr::Exists(q) => visit_query_tables(q, f),
         ScalarExpr::Aggregate { arg, .. } => {
             if let Some(a) = arg {
-                collect_expr_tables(a, out);
+                visit_expr_tables(a, f);
             }
         }
         ScalarExpr::Column { .. } | ScalarExpr::Param { .. } | ScalarExpr::Literal(_) => {}

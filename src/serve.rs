@@ -61,7 +61,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::rel::Database;
-use crate::view::{Engine, Published};
+use crate::view::{Engine, PublishStats, Published};
 
 /// How long a worker blocks on a socket read before re-checking the
 /// shutdown flag. Bounds shutdown latency for idle keep-alive connections.
@@ -613,24 +613,34 @@ fn handle_dml(state: &Arc<State>, body: &[u8]) -> Response {
             Err(e) => return Response::error(400, &format!("dml failed: {e}")),
         }
     };
+    if delta.is_empty() {
+        // Nothing changed (e.g. a DELETE matching no rows): the served
+        // document is already current.
+        return dml_response(0, &PublishStats::default());
+    }
     let db = state.db.read().unwrap_or_else(PoisonError::into_inner);
     let mut session = state.engine.session();
     match session.republish_delta(&db, &doc.published, &delta) {
         Ok(published) => {
-            let stats = &published.stats;
-            let body = format!(
-                "{{\"delta_rows\":{},\"nodes_respliced\":{},\"batches_reexecuted\":{},\"elements\":{}}}\n",
-                delta.row_count(),
-                stats.nodes_respliced,
-                stats.batches_reexecuted,
-                stats.elements,
-            );
+            let response = dml_response(delta.row_count(), &published.stats);
             doc.xml = Arc::<str>::from(published.document.to_xml());
             doc.published = published;
-            Response::ok("application/json", body)
+            response
         }
         Err(e) => Response::error(500, &format!("republish failed: {e}")),
     }
+}
+
+/// The `/dml` success body: the rows the statement touched and what the
+/// delta republish did with them.
+fn dml_response(delta_rows: usize, stats: &PublishStats) -> Response {
+    Response::ok(
+        "application/json",
+        format!(
+            "{{\"delta_rows\":{},\"nodes_respliced\":{},\"batches_reexecuted\":{},\"elements\":{}}}\n",
+            delta_rows, stats.nodes_respliced, stats.batches_reexecuted, stats.elements,
+        ),
+    )
 }
 
 /// `POST /ddl`: `CREATE TABLE` / `CREATE INDEX` against the live database.

@@ -11,9 +11,13 @@
 //! window's child levels run as one batch per view node, so batches grow
 //! with the number of windows, not of roots.
 //!
+//! A delta on the breadth workload: a new order can only change its own
+//! customer's orders, so the delta republish re-runs the order node under
+//! that customer alone, whatever the number of regions.
+//!
 //! The gates are deterministic counters, not times: rows scanned per
-//! database row, batches per publish, and byte-identity with the
-//! per-binding reference publisher.
+//! database row, batches per publish, re-emitted elements per delta, and
+//! byte-identity with the per-binding reference publisher.
 
 use xvc::core::paper_fixtures::figure1_view;
 use xvc::prelude::*;
@@ -136,6 +140,43 @@ fn breadth_view_batches_once_per_window_at_every_scale() {
             regions + windows * (customers + orders),
             "{regions} regions: {:?}",
             published.eval
+        );
+    }
+}
+
+#[test]
+fn breadth_delta_reemits_only_the_reached_customers_orders() {
+    let view = all_regions_view();
+    let (customers_per_region, orders_per_customer) = (5, 4);
+    for regions in [20, 200] {
+        let mut db = needle_database(regions, customers_per_region, orders_per_customer);
+        let engine = Engine::new(&view).incremental(true);
+        let prev = engine.session().publish(&db).unwrap();
+        // Customer 7 lives in region 1 and has `orders_per_customer`
+        // orders before the insert.
+        let delta = db
+            .execute_dml("INSERT INTO orders VALUES (999999, 7, 42)")
+            .unwrap();
+        let after = engine
+            .session()
+            .republish_delta(&db, &prev, &delta)
+            .unwrap();
+        let full = Engine::new(&view).session().publish(&db).unwrap();
+        assert_eq!(
+            after.document.to_xml(),
+            full.document.to_xml(),
+            "{regions} regions: delta and full republish differ"
+        );
+        assert_eq!(
+            after.stats.batches_reexecuted, 1,
+            "{regions} regions: {:?}",
+            after.stats
+        );
+        assert_eq!(
+            after.stats.nodes_respliced,
+            orders_per_customer + 1,
+            "{regions} regions: {:?}",
+            after.stats
         );
     }
 }

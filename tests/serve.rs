@@ -302,6 +302,36 @@ fn failed_multi_row_dml_leaves_doc_equal_to_a_fresh_publish() {
 }
 
 #[test]
+fn empty_dml_leaves_the_served_document_untouched() {
+    let db = guide_database();
+    let composed = guide_composed(&db);
+    let server =
+        Server::start(Engine::new(&composed), db, "127.0.0.1:0", 2).expect("server starts");
+    let mut client = Client::connect(server.addr());
+
+    let (status, before) = client.request("GET", "/doc", "");
+    assert_eq!(status, 200);
+    let (status, body) = client.request("POST", "/dml", "DELETE FROM sight WHERE sid = -1");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"delta_rows\":0"), "{body}");
+
+    // No republish ran: the engine served no delta publish, and the
+    // cached document is byte-identical and still current.
+    let (status, stats) = client.request("GET", "/stats", "");
+    assert_eq!(status, 200);
+    assert!(stats.contains("\"delta_publishes\":0"), "{stats}");
+    let (status, after) = client.request("GET", "/doc", "");
+    assert_eq!(status, 200);
+    assert_eq!(after, before, "/doc changed on an empty delta");
+    let (status, fresh) = client.request("GET", "/publish", "");
+    assert_eq!(status, 200);
+    assert_eq!(after, fresh, "/doc drifted from the database");
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn streamed_publish_pretty_matches_reference_serializer() {
     let db = guide_database();
     let composed = guide_composed(&db);
