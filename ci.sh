@@ -6,8 +6,10 @@ set -eu
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings"
+# --workspace: without it clippy lints only the root package, and the
+# member crates' pedantic subsets (see each lib.rs) would go unchecked.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo test (tier-1)"
 cargo test -q
@@ -77,7 +79,7 @@ fi
 
 echo "== figures -- incr smoke (delta-publish gates, reduced sizes)"
 # The binary inserts one row through the xvc_rel write path and absorbs
-# the delta via Publisher::republish_delta, aborting if the delta document
+# the delta via Session::republish_delta, aborting if the delta document
 # diverges from a full republish, if the re-executed batch count grows
 # with instance size, or if the delta path re-runs >= 20% of the full
 # batch count at the largest size. The greps double-check the artifact.

@@ -14,6 +14,7 @@
 //! cargo run -p xvc-bench --bin figures --release -- fuzz         # differential gate
 //! cargo run -p xvc-bench --bin figures --release -- stream       # emission study
 //! cargo run -p xvc-bench --bin figures --release -- stream smoke # reduced CI sizes
+//! cargo run -p xvc-bench --bin figures --release -- ablation     # E5 engine ablations
 //! ```
 //!
 //! Modes live in a single registry ([`MODES`]) that declares each mode's
@@ -28,10 +29,11 @@
 //! a warm publish that misses the cache is a hard failure.
 //!
 //! `batch` implies `plans` and adds the set-oriented publishing study: a
-//! deep fan-out chain where the tuple-at-a-time publisher runs `Σ fanout^k`
-//! tag queries while the batched publisher runs one per level. Divergence
-//! between the two documents, or a batched run slower than scalar on that
-//! workload, is a hard failure.
+//! deep fan-out chain where the tuple-at-a-time reference walk
+//! (`xvc_view::reference`) runs `Σ fanout^k` tag queries while the engine
+//! runs one batch per level. Divergence between the two documents, or an
+//! engine run slower than the reference on that workload, is a hard
+//! failure.
 //!
 //! `scale` runs the storage/access-path study: the selective needle view
 //! published against the same instance in-memory, paged through the buffer
@@ -50,7 +52,7 @@
 //!
 //! `fuzz` runs the recursion-heavy and wide-fanout stylesheet generators
 //! differentially: `v'(I)` vs `x(v(I))`, the bound-driven publisher vs
-//! the heuristic path (byte-identical documents required), and measured
+//! the reference walk (byte-identical documents required), and measured
 //! batch sizes vs the static cardinality bounds. Any divergence aborts.
 //!
 //! `stream` runs the emission study: the same publish delivered by
@@ -61,9 +63,14 @@
 //! the materialized peak grows with the document, and the streamed
 //! publish must run exactly one batch per child view node per window of
 //! `ROOT_WINDOW` roots — any failure aborts.
+//!
+//! `ablation` runs the E5 engine ablations: hash vs nested-loop joins,
+//! cached vs per-row uncorrelated `EXISTS`, and Kim unnesting of a
+//! composition. The two sides of each must agree before either is timed.
 
 use std::collections::BTreeSet;
 
+use xvc_bench::ablation::{ablation_study, render_ablation_objects};
 use xvc_bench::experiments::{
     batch_bench, c1_chain_sweep, c2_fan_sweep, differential_fuzz, e1_scale_sweep,
     e3_selectivity_sweep, incr_sweep, prune_bench, render_comparison_table, render_cost_table,
@@ -132,6 +139,11 @@ const MODES: &[Mode] = &[
         implies: &[],
         default: true,
     },
+    Mode {
+        name: "ablation",
+        implies: &[],
+        default: true,
+    },
 ];
 
 /// Resolves a requested mode (or `""` for the default set) into the
@@ -175,6 +187,7 @@ fn main() {
     let (figures, tables) = (on("figures"), on("tables"));
     let (prune, plans, batch) = (on("prune"), on("plans"), on("batch"));
     let (scale, incr, fuzz, stream) = (on("scale"), on("incr"), on("fuzz"), on("stream"));
+    let ablation = on("ablation");
 
     if figures {
         for (title, body) in all_figures() {
@@ -254,8 +267,8 @@ fn main() {
         }
         if batch {
             println!("\n==== batch: set-oriented vs tuple-at-a-time publishing ====\n");
-            // Depth 5, fan-out 4: the scalar publisher runs 1+4+16+64+256
-            // tag queries per publish; the batched one runs one per level.
+            // Depth 5, fan-out 4: the reference walk runs 1+4+16+64+256
+            // tag queries per publish; the engine runs one batch per level.
             let fanout_row = batch_bench(5, 4, 3);
             rows.push(fanout_row);
             for r in &rows {
@@ -393,7 +406,7 @@ fn main() {
     if fuzz {
         println!("\n==== fuzz: differential generator gate (v'(I) = x(v(I))) ====\n");
         // 48 seeds per preset; the function itself aborts on divergence,
-        // on a bounded/heuristic document mismatch, or on a measured
+        // on a bounded/reference document mismatch, or on a measured
         // batch exceeding its static cardinality bound.
         let s = differential_fuzz(48);
         println!(
@@ -480,6 +493,25 @@ fn main() {
             last.peak_track_bytes_materialized
         );
         json_objects.extend(render_stream_objects(&trows));
+    }
+
+    if ablation {
+        println!("\n==== ablation: E5 engine design choices (scale-2 workload) ====\n");
+        // ablation_study itself aborts when the two sides of an ablation
+        // disagree.
+        let arows = ablation_study(5);
+        for r in &arows {
+            println!(
+                "ablation/{}: {} {:.3} ms vs {} {:.3} ms ({:.2}x)",
+                r.ablation,
+                r.on,
+                r.on_ms,
+                r.off,
+                r.off_ms,
+                r.speedup(),
+            );
+        }
+        json_objects.extend(render_ablation_objects(&arows));
     }
 
     if !json_objects.is_empty() {

@@ -10,6 +10,7 @@ use std::time::Instant;
 use xvc_core::paper_fixtures::figure1_view;
 use xvc_core::Composer;
 use xvc_rel::Database;
+use xvc_view::reference::Reference;
 use xvc_view::{Engine, SchemaTree};
 use xvc_xml::documents_equal_unordered;
 use xvc_xslt::{process, Stylesheet};
@@ -107,7 +108,7 @@ pub fn compare(
     }
 }
 
-fn best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
+pub(crate) fn best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let t = Instant::now();
@@ -238,15 +239,16 @@ pub struct PruneBenchRow {
     /// Wall time evaluating the pruned composed view.
     pub eval_prune_ms: f64,
     /// Wall time evaluating the pruned view through the tuple-at-a-time
-    /// interpreter (`Engine::prepared(false)`).
+    /// interpreter (`Reference::interpreted`).
     pub eval_interpreted_ms: f64,
     /// Wall time evaluating the pruned view through cached prepared plans
     /// (the default publisher path, warm cache).
     pub eval_prepared_ms: f64,
     /// Warm-publish plan-cache hit rate (1.0 when every lookup hits).
     pub plan_cache_hit_rate: f64,
-    /// Wall time for the tuple-at-a-time publisher (`.batched(false)`),
-    /// warm plan cache — one plan execution per parent binding.
+    /// Wall time for the tuple-at-a-time reference walk
+    /// (`Reference::prepared`), plans compiled once before timing — one
+    /// plan execution per parent binding.
     pub eval_scalar_ms: f64,
     /// Wall time for the set-oriented publisher (the default), warm plan
     /// cache — one `execute_batch` per (view node, frontier wave).
@@ -351,9 +353,9 @@ fn prune_compare(
     });
 
     // Prepared vs interpreted execution of the same (pruned) view. The
-    // interpreted publisher is warmed and verified like the others, so the
-    // two loops differ only in the execution path.
-    let mut interp_pub = Engine::new(&pruned).prepared(false).session();
+    // interpreted reference walk is verified like the others before its
+    // timing loop.
+    let mut interp_pub = Reference::interpreted(&pruned);
     let interp_doc = interp_pub
         .publish(db)
         .expect("publish interpreted")
@@ -381,9 +383,11 @@ fn prune_compare(
     let bindings_per_batch_max = warm.stats.bindings_per_batch_max;
 
     // Set-oriented vs tuple-at-a-time publishing of the same pruned view.
-    // `pruned_pub` is the batched default; the scalar publisher must emit
-    // a byte-identical document or the benchmark would be meaningless.
-    let mut scalar_pub = Engine::new(&pruned).batched(false).session();
+    // `pruned_pub` is the engine; the reference walk must emit a
+    // byte-identical document or the benchmark would be meaningless. Its
+    // first publish compiles its plans, so the timing loop below runs
+    // with every plan already compiled, like the warm engine's.
+    let mut scalar_pub = Reference::prepared(&pruned);
     let scalar_doc = scalar_pub.publish(db).expect("publish scalar").document;
     assert_eq!(
         scalar_doc.to_xml(),
@@ -419,9 +423,9 @@ fn prune_compare(
 }
 
 /// The set-oriented publishing study: a deep fan-out chain where the
-/// tuple-at-a-time publisher runs one tag query per parent binding
-/// (`Σ fanout^k` executions per root subtree) while the batched publisher
-/// runs one per level. The row carries the same field set as the prune
+/// tuple-at-a-time reference walk runs one tag query per parent binding
+/// (`Σ fanout^k` executions per root subtree) while the engine runs one
+/// batch per level. The row carries the same field set as the prune
 /// study, so `BENCH_compose.json` stays a single homogeneous array.
 pub fn batch_bench(depth: usize, fanout: usize, reps: usize) -> PruneBenchRow {
     let view = chain_view(depth);
@@ -1049,7 +1053,7 @@ pub struct FuzzSummary {
 /// The CI differential gate over the recursion-heavy and wide-fanout
 /// generators: for every seed and preset, `v'(I)` must equal `x(v(I))`,
 /// the bound-driven publisher must produce a document byte-identical to
-/// the heuristic (unbounded) path, and the measured per-wave batch sizes
+/// the tuple-at-a-time reference walk, and the measured per-wave batch sizes
 /// must stay within the statically predicted cardinality bound. Any
 /// violation panics with the offending stylesheet.
 pub fn differential_fuzz(seeds_per_config: u64) -> FuzzSummary {
@@ -1091,15 +1095,13 @@ pub fn differential_fuzz(seeds_per_config: u64) -> FuzzSummary {
                 "{name} seed {seed}: v'(I) != x(v(I))\n{}",
                 stylesheet.to_xslt()
             );
-            let heuristic = Engine::new(&composed)
-                .bounded(false)
-                .session()
+            let reference = Reference::prepared(&composed)
                 .publish(&db)
-                .expect("publish v' unbounded");
+                .expect("publish v' reference");
             assert_eq!(
                 bounded.document.to_xml(),
-                heuristic.document.to_xml(),
-                "{name} seed {seed}: bound-driven plans diverged from the heuristic path\n{}",
+                reference.document.to_xml(),
+                "{name} seed {seed}: bound-driven plans diverged from the reference walk\n{}",
                 stylesheet.to_xslt()
             );
             let bounds = analyze_view_bounds(&composed, &catalog);
@@ -1184,7 +1186,7 @@ mod tests {
         assert!(r.batches_delta < r.batches_full, "{r:?}");
         assert!(r.nodes_respliced > 0, "{r:?}");
         assert!(r.reexecution_fraction() < 1.0, "{r:?}");
-        let json = render_json_array(&render_incr_objects(&[r.clone()]));
+        let json = render_json_array(&render_incr_objects(std::slice::from_ref(&r)));
         assert!(json.contains("\"eval_full_republish_ms\""));
         assert!(json.contains("\"eval_delta_ms\""));
         println!("{r:?}");

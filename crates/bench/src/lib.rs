@@ -13,13 +13,16 @@
 //!   before timing anything;
 //! * [`figures`] — programmatic regeneration of every paper figure;
 //! * [`random_stylesheet`] — a seeded `XSLT_basic` stylesheet fuzzer for
-//!   the equivalence property.
+//!   the equivalence property;
+//! * [`ablation`] — the E5 engine ablations (hash join, `EXISTS` caching,
+//!   Kim unnesting), each side verified equal before timing.
 //!
-//! The `figures` binary prints all artifacts and experiment tables;
-//! Criterion benches live under `benches/`.
+//! The `figures` binary prints all artifacts, experiment tables and
+//! studies.
 
 #![warn(missing_docs)]
 
+pub mod ablation;
 pub mod experiments;
 pub mod figures;
 pub mod random_stylesheet;

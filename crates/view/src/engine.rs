@@ -30,6 +30,7 @@
 //! # Ok(()) }
 //! ```
 
+use std::collections::hash_map::Entry;
 use std::io;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
@@ -43,7 +44,7 @@ use crate::publish::{
     guard_probe, run_delta_republish, run_full_publish, run_stream_publish, PlanCache, PlanEntry,
     PublishConfig, PublishStats, Published, Role,
 };
-use crate::schema_tree::{SchemaTree, ViewNodeId};
+use crate::schema_tree::SchemaTree;
 
 /// Aggregate counters across every publish an [`Engine`] has served, for
 /// all sessions combined. The merge is the same deterministic
@@ -65,35 +66,13 @@ pub struct EngineTotals {
     pub eval: EvalStats,
 }
 
-/// Engine configuration: the publish-path toggles plus bound-driven
-/// planning. Fixed once sessions exist (reconfiguring builds a fresh
-/// engine with an empty cache).
-#[derive(Debug, Clone)]
-struct Config {
-    publish: PublishConfig,
-    bounded: bool,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            publish: PublishConfig {
-                tracing: false,
-                parallel: 1,
-                prepared: true,
-                batched: true,
-                incremental: false,
-            },
-            bounded: true,
-        }
-    }
-}
-
 /// The shared core every clone of an [`Engine`] points at.
 #[derive(Debug)]
 struct EngineShared {
     tree: SchemaTree,
-    cfg: Config,
+    /// Fixed once sessions exist (reconfiguring builds a fresh engine
+    /// with an empty cache).
+    cfg: PublishConfig,
     cache: RwLock<PlanCache>,
     totals: Mutex<EngineTotals>,
     /// The tree's table dependencies and key lineage, analyzed on the
@@ -103,6 +82,17 @@ struct EngineShared {
 
 /// An owned, `Send + Sync` publishing engine: schema tree + shared
 /// prepared-plan cache + aggregate statistics. See the module docs.
+///
+/// Every publish — [`Session::publish`], [`Session::publish_to`] and
+/// [`Session::republish_delta`] — runs one walk: the root elements cut
+/// into windows of [`crate::ROOT_WINDOW`], each expanded breadth-first
+/// with one set-oriented batch per (view node, wave) through the cached
+/// plans, whose static cardinality bounds are baked in. A query that does
+/// not prepare runs through the interpreter instead. The three builder
+/// options ([`Engine::traced`], [`Engine::parallel`],
+/// [`Engine::incremental`]) choose what the walk records and how many
+/// threads it uses, never how it executes; the tuple-at-a-time
+/// Definition 1 walk is [`crate::reference::Reference`], a test oracle.
 ///
 /// Configure with the builder methods immediately after [`Engine::new`]
 /// (each returns `Self`); then create per-request [`Session`]s with
@@ -122,14 +112,17 @@ impl Clone for Engine {
 
 impl Engine {
     /// An engine for `tree` (cloned into the engine so it owns its whole
-    /// world): untraced, single-threaded, prepared-plan, set-oriented
-    /// (batched) and bound-driven execution enabled — the same defaults
-    /// the old borrow-bound publisher had.
+    /// world): untraced, single-threaded, no splice index.
     pub fn new(tree: &SchemaTree) -> Self {
-        Self::from_parts(tree.clone(), Config::default())
+        let cfg = PublishConfig {
+            tracing: false,
+            parallel: 1,
+            incremental: false,
+        };
+        Self::from_parts(tree.clone(), cfg)
     }
 
-    fn from_parts(tree: SchemaTree, cfg: Config) -> Self {
+    fn from_parts(tree: SchemaTree, cfg: PublishConfig) -> Self {
         Engine {
             shared: Arc::new(EngineShared {
                 tree,
@@ -144,9 +137,8 @@ impl Engine {
     /// Rebuilds the engine with `f` applied to its configuration. On an
     /// unshared engine (the builder chain right after [`Engine::new`])
     /// this is a move; on a shared one it starts from a fresh cache —
-    /// cached plans may embed configuration (e.g. baked batch bounds), so
-    /// a reconfigured engine never reuses them.
-    fn reconfig(self, f: impl FnOnce(&mut Config)) -> Self {
+    /// a reconfigured engine never reuses another's plans.
+    fn reconfig(self, f: impl FnOnce(&mut PublishConfig)) -> Self {
         match Arc::try_unwrap(self.shared) {
             Ok(shared) => {
                 let mut cfg = shared.cfg;
@@ -163,7 +155,7 @@ impl Engine {
 
     /// Record per-element provenance ([`Published::trace`]).
     pub fn traced(self, on: bool) -> Self {
-        self.reconfig(|c| c.publish.tracing = on)
+        self.reconfig(|c| c.tracing = on)
     }
 
     /// Evaluate up to `n` windows of [`crate::ROOT_WINDOW`] root-level
@@ -174,42 +166,16 @@ impl Engine {
     /// root elements runs on one thread whatever `n` is, and one with `r`
     /// roots uses at most `⌈r / ROOT_WINDOW⌉` threads.
     pub fn parallel(self, n: usize) -> Self {
-        self.reconfig(|c| c.publish.parallel = n.max(1))
+        self.reconfig(|c| c.parallel = n.max(1))
     }
 
-    /// Use compiled [`xvc_rel::PreparedPlan`]s and the result memo
-    /// (`true`, the default), or force the tuple-at-a-time interpreter
-    /// (`false`; used by benchmarks to measure the prepared path's win).
-    pub fn prepared(self, on: bool) -> Self {
-        self.reconfig(|c| c.publish.prepared = on)
-    }
-
-    /// Publish each subtree with the breadth-first frontier walk — one
-    /// set-oriented batch per (view node, frontier) — (`true`, the
-    /// default) or with the original per-parent recursion (`false`). Both
-    /// paths produce bit-identical documents, traces and stats modulo the
-    /// batch-only counters ([`PublishStats::without_batch_counters`]).
-    pub fn batched(self, on: bool) -> Self {
-        self.reconfig(|c| c.publish.batched = on)
-    }
-
-    /// Bake static cardinality bounds ([`crate::analyze_view_bounds`])
-    /// into the cached plans (`true`, the default): a node whose batches
-    /// provably carry at most one binding executes scalar, pushdowns and
-    /// index paths intact, instead of paying for the shared binding-free
-    /// pipeline. Documents, traces and [`PublishStats`] are identical
-    /// either way.
-    pub fn bounded(self, on: bool) -> Self {
-        self.reconfig(|c| c.bounded = on)
-    }
-
-    /// Record the splice index ([`Published::splice`]) on batched
-    /// publishes so results can seed [`Session::republish_delta`]. The
-    /// index maps every element to its view node and, for elements whose
-    /// view node has children, to the shared environment those children
-    /// run under; streamed publishes ([`Session::publish_to`]) record none.
+    /// Record the splice index ([`Published::splice`]) on publishes so
+    /// results can seed [`Session::republish_delta`]. The index maps every
+    /// element to its view node and, for elements whose view node has
+    /// children, to the shared environment those children run under;
+    /// streamed publishes ([`Session::publish_to`]) record none.
     pub fn incremental(self, on: bool) -> Self {
-        self.reconfig(|c| c.publish.incremental = on)
+        self.reconfig(|c| c.incremental = on)
     }
 
     /// The schema tree this engine publishes.
@@ -255,9 +221,6 @@ impl Engine {
         stats: &mut PublishStats,
     ) -> RwLockReadGuard<'_, PlanCache> {
         let shared = &self.shared;
-        if !shared.cfg.publish.prepared {
-            return shared.cache.read().unwrap_or_else(PoisonError::into_inner);
-        }
         let fingerprint = db.catalog_fingerprint();
         // One plan per tag query plus one per emission-guard probe.
         let needed: usize = shared
@@ -280,47 +243,7 @@ impl Engine {
             }
             let mut cache = shared.cache.write().unwrap_or_else(PoisonError::into_inner);
             if !(cache.fingerprint == Some(fingerprint) && cache.complete) {
-                if cache.fingerprint != Some(fingerprint) {
-                    cache.plans.clear();
-                    cache.complete = false;
-                    cache.fingerprint = Some(fingerprint);
-                }
-                // Built lazily, only if some node actually needs
-                // compiling; on a cache filled by a racing session
-                // neither the catalog nor the cardinality analysis is
-                // materialized at all.
-                let mut planner: Option<Planner> = None;
-                for vid in shared.tree.node_ids() {
-                    let node = shared.tree.node(vid).expect("non-root id");
-                    if let Some(q) = &node.query {
-                        ensure_plan(
-                            &mut cache,
-                            &shared.tree,
-                            shared.cfg.bounded,
-                            vid,
-                            Role::Tag,
-                            q,
-                            db,
-                            &mut planner,
-                            stats,
-                        );
-                    }
-                    if let Some(g) = &node.guard {
-                        let probe = guard_probe(g);
-                        ensure_plan(
-                            &mut cache,
-                            &shared.tree,
-                            shared.cfg.bounded,
-                            vid,
-                            Role::Guard,
-                            &probe,
-                            db,
-                            &mut planner,
-                            stats,
-                        );
-                    }
-                }
-                cache.complete = true;
+                cache.fill(&shared.tree, db, stats);
                 counted = true;
             }
             // Downgrade: drop the write lock and re-enter through the read
@@ -337,18 +260,17 @@ impl Engine {
 /// caller's `io::Write`.
 #[derive(Debug, Clone)]
 pub struct Streamed {
-    /// Materialization counters; equal to the batched materializing
-    /// path's [`Published::stats`] for the same database (the walk is
-    /// identical, only the element store differs).
+    /// Materialization counters; equal to [`Session::publish`]'s
+    /// [`Published::stats`] for the same database (the walk is identical,
+    /// only the drain differs).
     pub stats: PublishStats,
     /// Relational-engine work across every tag-query / guard evaluation.
     pub eval: EvalStats,
     /// Serialized bytes written to the sink.
     pub bytes_written: u64,
-    /// High-water mark of the emission buffers (the streaming skeleton's
-    /// retained heap; on the materializing fallback, the arena document's
-    /// [`xvc_xml::Document::heap_estimate`]). This is the number the
-    /// `figures -- stream` study shows staying flat in document size.
+    /// High-water mark of the per-window element store's retained heap
+    /// across windows. This is the number the `figures -- stream` study
+    /// shows staying flat in document size.
     pub peak_emit_bytes: usize,
 }
 
@@ -403,7 +325,10 @@ impl Session {
     }
 
     /// Evaluates the engine's schema tree against `db`, producing `v(I)`
-    /// plus statistics (and a trace when the engine is `traced`).
+    /// plus statistics (and a trace when the engine is `traced`, a splice
+    /// index when it is `incremental`). Each finished window is drained
+    /// straight into the output document, recording the trace and the
+    /// splice index on the way.
     ///
     /// Plans cached by any earlier publish through the same engine are
     /// reused when the database's catalog fingerprint is unchanged — an
@@ -421,23 +346,21 @@ impl Session {
         shared.tree.validate()?;
         let mut stats = PublishStats::default();
         let cache = self.engine.ensure_plans(db, &mut stats);
-        run_full_publish(&shared.tree, &cache.plans, &shared.cfg.publish, db, stats)
+        run_full_publish(&shared.tree, &cache.plans, &shared.cfg, db, stats)
     }
 
     /// Streams `v(I)` as compact serialized XML straight into `out`,
     /// without materializing an output document: each window of
     /// [`crate::ROOT_WINDOW`] root-level subtrees is expanded by the same
-    /// breadth-first batch walk as [`Session::publish`] into a small
-    /// reusable skeleton and serialized out as soon as it completes, so
-    /// peak emission memory is bounded by the largest window of root
-    /// subtrees instead of the document. The bytes
-    /// are identical to `publish(db)?.document.to_xml()` (proptest-gated
-    /// across backends and workload presets).
-    ///
-    /// On an unbatched (`batched(false)`) or traced engine the call falls
-    /// back to materializing internally and serializing through the same
-    /// writer — splicing provenance and traces need the arena document —
-    /// so output bytes never depend on configuration.
+    /// walk as [`Session::publish`] into the same small reusable window
+    /// store, which is drained into the writer as soon as the window
+    /// completes, so peak emission memory is bounded by the largest window
+    /// of root subtrees instead of the document. The bytes are identical
+    /// to `publish(db)?.document.to_xml()` (proptest-gated across backends
+    /// and workload presets), and so are the statistics. Windows run in
+    /// order on the calling thread whatever [`Engine::parallel`] says, and
+    /// no trace or splice index is recorded, whatever the engine's
+    /// `traced` and `incremental` settings.
     ///
     /// A sink failure surfaces as [`crate::Error::Io`] after a truncated
     /// write; engine state (plan cache, totals) is unaffected and the
@@ -489,20 +412,10 @@ impl Session {
         sink: &mut dyn XmlSink,
     ) -> Result<(PublishStats, EvalStats, usize)> {
         let shared = &self.engine.shared;
-        let cfg = &shared.cfg.publish;
-        if !cfg.batched || cfg.tracing {
-            // Materializing fallback: the scalar path and traced publishes
-            // build the arena document anyway; serialize it through the
-            // same sink so the bytes cannot differ.
-            let published = self.publish_inner(db)?;
-            published.document.emit(sink)?;
-            let peak = published.document.heap_estimate();
-            return Ok((published.stats, published.eval, peak));
-        }
         shared.tree.validate()?;
         let mut stats = PublishStats::default();
         let cache = self.engine.ensure_plans(db, &mut stats);
-        run_stream_publish(&shared.tree, &cache.plans, cfg, db, stats, sink)
+        run_stream_publish(&shared.tree, &cache.plans, &shared.cfg, db, stats, sink)
     }
 
     /// Incrementally republishes after a base-table mutation: maps `delta`
@@ -510,8 +423,8 @@ impl Session {
     /// ([`crate::TableDeps`]), re-executes only the *top-most* affected
     /// view nodes — level-at-a-time, one batch per (view node, wave)
     /// across all the parent instances it re-runs them under — and
-    /// splices the fresh subtrees into `prev`'s document in place of the
-    /// stale ones.
+    /// grafts the fresh subtrees, straight from the walk's window store,
+    /// into a copy of `prev`'s document in place of the stale ones.
     ///
     /// **Key targeting.** A top node whose tag query reads a changed table
     /// `T` only as one top-level FROM item keyed by a top-level conjunct
@@ -529,10 +442,9 @@ impl Session {
     /// document (the arena has no in-place splice), not a full publish.
     ///
     /// `prev` must come from an `incremental` engine (so it carries a
-    /// [`crate::SpliceIndex`]); otherwise, or on the scalar path, the call
-    /// falls back to a full [`Session::publish`] and reports
-    /// `batches_reexecuted == batches_executed`. `db` must be the
-    /// *post*-delta database.
+    /// [`crate::SpliceIndex`]); otherwise the call falls back to a full
+    /// [`Session::publish`] and reports `batches_reexecuted ==
+    /// batches_executed`. `db` must be the *post*-delta database.
     ///
     /// The result is byte-identical to a full republish against `db`
     /// (asserted across random workloads by the delta-publish property
@@ -543,8 +455,7 @@ impl Session {
         prev: &Published,
         delta: &Delta,
     ) -> Result<Published> {
-        let batched = self.engine.shared.cfg.publish.batched;
-        let published = if !batched || prev.splice.is_none() {
+        let published = if prev.splice.is_none() {
             let mut p = self.publish_inner(db)?;
             p.stats.batches_reexecuted = p.stats.batches_executed;
             p.stats.delta_rows_in = delta.row_count();
@@ -562,7 +473,7 @@ impl Session {
                 &shared.tree,
                 lineage,
                 &cache.plans,
-                &shared.cfg.publish,
+                &shared.cfg,
                 db,
                 prev,
                 delta,
@@ -608,61 +519,68 @@ impl Session {
     }
 }
 
-/// A lazily-filled holder for plan compilation: the (comparatively
-/// expensive) [`Database::catalog`] — and, when bound-driven planning is
-/// on, the whole-tree cardinality analysis — is built at most once per
-/// cache fill, and only when at least one entry is actually vacant.
-struct Planner {
-    catalog: Catalog,
-    bounds: Option<ViewBounds>,
-}
-
-/// Compiles `q` into the cache under `(vid, role)` unless already present.
-/// Compilation failures are not fatal: the node simply falls back to the
-/// interpreter (which will surface any genuine error at execution time,
-/// and only if the node actually runs). The failure is cached too —
-/// otherwise every publish would retry the doomed compilation and report
-/// the retry as a cache miss, deflating
-/// [`PublishStats::plan_cache_hit_rate`].
-#[allow(clippy::too_many_arguments)]
-fn ensure_plan(
-    cache: &mut PlanCache,
-    tree: &SchemaTree,
-    bounded: bool,
-    vid: ViewNodeId,
-    role: Role,
-    q: &xvc_rel::SelectQuery,
-    db: &Database,
-    planner: &mut Option<Planner>,
-    stats: &mut PublishStats,
-) {
-    let key = (vid.index() as u32, role);
-    match cache.plans.entry(key) {
-        std::collections::hash_map::Entry::Occupied(_) => stats.plan_cache_hits += 1,
-        std::collections::hash_map::Entry::Vacant(e) => {
-            let planner = planner.get_or_insert_with(|| {
-                let catalog = db.catalog();
-                let bounds = bounded.then(|| analyze_view_bounds(tree, &catalog));
-                Planner { catalog, bounds }
-            });
-            match prepare(q, &planner.catalog) {
-                Ok(p) => {
-                    // A tag query's batch carries one binding per parent
-                    // instance in the window; the guard probe of the same
-                    // node batches over the same parents.
-                    let p = match &planner.bounds {
-                        Some(b) => p.with_binding_bound(b.batch_bound(vid)),
-                        None => p,
-                    };
-                    e.insert(PlanEntry::Ready(Box::new(p)));
-                    stats.plans_prepared += 1;
-                }
-                Err(_) => {
-                    e.insert(PlanEntry::Failed);
-                    stats.plan_prepare_failures += 1;
+impl PlanCache {
+    /// Makes the cache current for `db`'s catalog and compiles every plan
+    /// `tree` needs that it lacks — one per tag query plus one per
+    /// emission-guard probe — counting a hit for each entry already
+    /// present and a preparation or failure for each compiled one. Plans
+    /// carry the static per-window binding bounds of
+    /// [`crate::analyze_view_bounds`]: a node whose batches provably carry
+    /// at most one binding executes scalar, pushdowns and index paths
+    /// intact, instead of paying for the shared binding-free pipeline.
+    ///
+    /// Compilation failures are not fatal: the node simply falls back to
+    /// the interpreter (which will surface any genuine error at execution
+    /// time, and only if the node actually runs). The failure is cached
+    /// too — otherwise every publish would retry the doomed compilation
+    /// and report the retry as a cache miss, deflating
+    /// [`PublishStats::plan_cache_hit_rate`].
+    pub(crate) fn fill(&mut self, tree: &SchemaTree, db: &Database, stats: &mut PublishStats) {
+        let fingerprint = db.catalog_fingerprint();
+        if self.fingerprint != Some(fingerprint) {
+            self.plans.clear();
+            self.complete = false;
+            self.fingerprint = Some(fingerprint);
+        }
+        // Built lazily, only if some entry is actually vacant; on a cache
+        // filled by a racing session neither the catalog nor the
+        // cardinality analysis is materialized at all.
+        let mut planner: Option<(Catalog, ViewBounds)> = None;
+        for vid in tree.node_ids() {
+            let node = tree.node(vid).expect("non-root id");
+            let guard = node.guard.as_ref().map(guard_probe);
+            let wanted = [
+                (Role::Tag, node.query.as_ref()),
+                (Role::Guard, guard.as_ref()),
+            ];
+            for (role, q) in wanted {
+                let Some(q) = q else { continue };
+                let Entry::Vacant(e) = self.plans.entry((vid.index() as u32, role)) else {
+                    stats.plan_cache_hits += 1;
+                    continue;
+                };
+                let (catalog, bounds) = planner.get_or_insert_with(|| {
+                    let catalog = db.catalog();
+                    let bounds = analyze_view_bounds(tree, &catalog);
+                    (catalog, bounds)
+                });
+                match prepare(q, catalog) {
+                    Ok(p) => {
+                        // A tag query's batch carries one binding per
+                        // parent instance in the window; the guard probe
+                        // of the same node batches over the same parents.
+                        let p = p.with_binding_bound(bounds.batch_bound(vid));
+                        e.insert(PlanEntry::Ready(Box::new(p)));
+                        stats.plans_prepared += 1;
+                    }
+                    Err(_) => {
+                        e.insert(PlanEntry::Failed);
+                        stats.plan_prepare_failures += 1;
+                    }
                 }
             }
         }
+        self.complete = true;
     }
 }
 

@@ -40,6 +40,7 @@ pub mod error;
 mod lineage;
 pub mod parse;
 pub mod publish;
+pub mod reference;
 pub mod schema_tree;
 pub mod table_deps;
 

@@ -1,20 +1,23 @@
 //! Publishing: evaluating a schema-tree query to an XML document, `v(I)`.
 //!
 //! The public entry point is [`crate::Engine`] / [`crate::Session`] (see
-//! the `engine` module); this module holds the execution machinery those
+//! the `engine` module); this module holds the one publish walk those
 //! drive: the **plan-cache** types (each node's tag query compiled once
 //! into an [`xvc_rel::PreparedPlan`]), **set-oriented** publishing (the
 //! root elements cut into windows of [`ROOT_WINDOW`], each expanded by one
 //! breadth-first frontier walk running one
 //! [`xvc_rel::PreparedPlan::execute_batch_stats`] per (view node, wave)
-//! instead of one execution per parent tuple), a bounded per-window
-//! **result memo** (repeated parent tuples with equal relevant binding
-//! values reuse the child relation), **parallel** window evaluation
-//! (`std::thread::scope`) that keeps document order and
-//! thread-count-independent statistics, and the **delta-republish** graft
-//! walk.
+//! instead of one execution per parent tuple) into a per-window element
+//! store, a bounded per-window **result memo** (repeated parent tuples
+//! with equal relevant binding values reuse the child relation),
+//! **parallel** window evaluation (`std::thread::scope`) that keeps
+//! document order and thread-count-independent statistics, and the drains
+//! of a finished window: into the output [`Document`] (recording the trace
+//! and the splice index), into an [`XmlSink`], and the **delta-republish**
+//! graft. The tuple-at-a-time walk of Definition 1 lives in
+//! [`crate::reference`], as a test oracle only.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::io;
 use std::rc::Rc;
@@ -25,7 +28,7 @@ use xvc_rel::{
     eval_query_stats, Database, EvalOptions, EvalStats, NamedTuple, ParamEnv, PreparedPlan,
     Relation, ScalarExpr, SelectItem, SelectQuery,
 };
-use xvc_xml::{Document, TreeBuilder, XmlSink};
+use xvc_xml::{Document, NodeId, XmlSink};
 
 use crate::error::Result;
 use crate::lineage::{KeyFilter, Lineage};
@@ -65,7 +68,10 @@ pub struct PublishStats {
     /// Memoizable executions that had to run the engine.
     pub memo_misses: usize,
     /// Set-oriented executions: one per (view node, wave) of each window
-    /// with at least one non-memoized binding. Zero on the scalar path.
+    /// with at least one non-memoized binding. Root-level queries run once
+    /// and unbatched, and a node whose plan failed to prepare runs through
+    /// the interpreter per binding, so neither counts here; nor does
+    /// anything the [`crate::reference`] walk runs.
     pub batches_executed: usize,
     /// Largest number of bindings any single batch carried (merged with
     /// `max`, not `+`, across windows).
@@ -87,7 +93,7 @@ pub struct PublishStats {
 }
 
 impl PublishStats {
-    /// Adds `other`'s counters into `self` (used to merge per-subtree
+    /// Adds `other`'s counters into `self` (used to merge per-window
     /// statistics deterministically).
     pub fn absorb(&mut self, other: &PublishStats) {
         self.elements += other.elements;
@@ -110,9 +116,9 @@ impl PublishStats {
     }
 
     /// This run's counters with the batch-only and delta-only ones zeroed —
-    /// what the run would have reported on the scalar path, which is
-    /// identical on every other field (the equality the batched-vs-scalar
-    /// tests assert).
+    /// what the tuple-at-a-time [`crate::reference`] walk reports for the
+    /// same publish, which is identical on every other field (the equality
+    /// the engine-vs-reference tests assert).
     pub fn without_batch_counters(&self) -> PublishStats {
         PublishStats {
             batches_executed: 0,
@@ -192,13 +198,13 @@ pub struct SpliceEntry {
     pub child_env: Option<Arc<ParamEnv>>,
 }
 
-/// Per-element splice provenance of a batched publish, keyed by document
-/// node — the structural index [`crate::Session::republish_delta`] patches
+/// Per-element splice provenance of a publish, keyed by document node —
+/// the structural index [`crate::Session::republish_delta`] patches
 /// through. Recorded only when [`crate::Engine::incremental`] is on.
 #[derive(Debug, Clone, Default)]
 pub struct SpliceIndex {
     /// One entry per emitted element.
-    pub entries: HashMap<xvc_xml::NodeId, SpliceEntry>,
+    pub entries: HashMap<NodeId, SpliceEntry>,
 }
 
 /// Everything one publish run produced.
@@ -214,8 +220,9 @@ pub struct Published {
     /// Per-element provenance; `Some` only when tracing was requested via
     /// [`crate::Engine::traced`].
     pub trace: Option<PublishTrace>,
-    /// Splice provenance; `Some` only on batched publishes with
-    /// [`crate::Engine::incremental`] on (delta republishes keep it current).
+    /// Splice provenance, recorded while each window is drained into the
+    /// document; `Some` only with [`crate::Engine::incremental`] on (delta
+    /// republishes keep it current).
     pub splice: Option<SpliceIndex>,
     /// View nodes whose guard / tag batches a delta republish actually
     /// re-executed — the measured set the soundness tests compare against
@@ -260,7 +267,7 @@ pub(crate) struct PlanCache {
 }
 
 /// Entries per window's result memo; inserts are skipped beyond this.
-const MEMO_CAP: usize = 256;
+pub(crate) const MEMO_CAP: usize = 256;
 
 /// Root-level element instances per window, the unit of work of a
 /// publish. The root instances are cut, in document order, into windows
@@ -271,14 +278,12 @@ const MEMO_CAP: usize = 256;
 /// windows batch more but hold more of the document at once.
 pub const ROOT_WINDOW: usize = 8;
 
-/// Publish-path toggles, fixed per [`crate::Engine`] (see the builder
-/// methods there for what each flag does).
+/// Publish options, fixed per [`crate::Engine`] (see the builder methods
+/// there for what each does).
 #[derive(Debug, Clone)]
 pub(crate) struct PublishConfig {
     pub(crate) tracing: bool,
     pub(crate) parallel: usize,
-    pub(crate) prepared: bool,
-    pub(crate) batched: bool,
     pub(crate) incremental: bool,
 }
 
@@ -307,9 +312,9 @@ pub(crate) fn run_full_publish(
 
 /// Delta-republish orchestration behind
 /// [`crate::Session::republish_delta`]. Same caller contract as
-/// [`run_full_publish`], plus: `lineage` was analyzed from `tree`, `prev`
-/// carries a splice index and `cfg` is batched (the caller handles the
-/// full-republish fallback).
+/// [`run_full_publish`], plus: `lineage` was analyzed from `tree` and
+/// `prev` carries a splice index (the caller handles the full-republish
+/// fallback).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_delta_republish(
     tree: &SchemaTree,
@@ -325,18 +330,16 @@ pub(crate) fn run_delta_republish(
 }
 
 /// Streaming-publish orchestration behind [`crate::Session::publish_to`]:
-/// the batched frontier walk with the arena sink swapped for the reusable
-/// per-window [`Skeleton`], drained into `sink` window by window —
-/// serialized XML is the only output; no document is ever materialized.
+/// the same walk as [`run_full_publish`], each finished window drained
+/// into `sink` instead of a document — serialized XML is the only output.
 /// Returns `(stats, eval, peak_emit_bytes)` where the peak is the
-/// high-water mark of the skeleton's buffers across windows (the emission
-/// path's whole retained footprint, bounded by the largest window of
+/// high-water mark of the window store's buffers (the emission path's
+/// whole retained footprint, bounded by the largest window of
 /// [`ROOT_WINDOW`] root subtrees rather than the document).
 ///
-/// Caller contract: same as [`run_full_publish`], plus `cfg` is batched
-/// and untraced (the caller handles the materializing fallback). Windows
-/// run sequentially — bytes leave in document order, so there is nothing
-/// to parallelize ahead of the writer.
+/// Same caller contract as [`run_full_publish`]. Windows run sequentially
+/// — bytes leave in document order, so there is nothing to parallelize
+/// ahead of the writer — and no provenance is recorded.
 pub(crate) fn run_stream_publish(
     tree: &SchemaTree,
     plans: &HashMap<PlanKey, PlanEntry>,
@@ -350,141 +353,92 @@ pub(crate) fn run_stream_publish(
 
 impl Run<'_> {
     /// Root pass (always sequential): evaluates root-level guards and tag
-    /// queries and lists the root element instances, in document order.
-    /// Callers cut that list into windows of [`ROOT_WINDOW`]; the
-    /// decomposition — and therefore every per-window counter — is
-    /// independent of the thread count *and* of the sink (arena vs
-    /// streaming) the windows are later drained through. Returns the
-    /// worker that ran the root queries (it carries their
-    /// stats/eval/trace) and the root instances.
-    fn root_pass<'s>(&self, shared: &'s Shared<'s>) -> Result<(Worker<'s>, Vec<Root>)> {
-        let mut main = Worker::new(shared, HashMap::new());
+    /// queries once each and lists the root element instances, in
+    /// document order. Callers cut that list into windows of
+    /// [`ROOT_WINDOW`]; the decomposition — and therefore every per-window
+    /// counter — is independent of the thread count *and* of the drain
+    /// the windows later go through.
+    fn root_pass(&self, shared: &Shared<'_>) -> Result<(PublishStats, EvalStats, Vec<Root>)> {
+        let mut stats = PublishStats::default();
+        let mut eval = EvalStats::default();
         let mut roots: Vec<Root> = Vec::new();
-        let mut root_counts: HashMap<String, usize> = HashMap::new();
-        let env = ParamEnv::new();
         for &child in self.tree.children(self.tree.root()) {
             let node = self.tree.node(child).expect("non-root id");
             if let Some(guard) = &node.guard {
-                main.stats.queries_run += 1;
+                stats.queries_run += 1;
                 let probe = guard_probe(guard);
-                if main
-                    .run_tag_query(child, Role::Guard, &probe, &env)?
-                    .is_empty()
-                {
+                let rel =
+                    run_root_query(shared, child, Role::Guard, &probe, &mut stats, &mut eval)?;
+                if rel.is_empty() {
                     continue;
                 }
             }
-            let mut seed = |tag: &str| {
-                let n = root_counts.entry(tag.to_owned()).or_insert(0);
-                *n += 1;
-                *n - 1
-            };
             match &node.query {
                 Some(q) if node.context_tuple_of.is_none() => {
-                    let rel = main.run_tag_query(child, Role::Tag, q, &env)?;
-                    main.stats.queries_run += 1;
-                    main.stats.tuples_fetched += rel.len();
-                    for i in 0..rel.len() {
-                        roots.push(Root {
-                            vid: child,
-                            tag: node.tag.clone(),
-                            index: seed(&node.tag),
-                            tuple: Some(rel.tuple(i)),
-                        });
-                    }
-                }
-                _ => {
-                    roots.push(Root {
+                    let rel = run_root_query(shared, child, Role::Tag, q, &mut stats, &mut eval)?;
+                    stats.queries_run += 1;
+                    stats.tuples_fetched += rel.len();
+                    roots.extend((0..rel.len()).map(|i| Root {
                         vid: child,
-                        tag: node.tag.clone(),
-                        index: seed(&node.tag),
-                        tuple: None,
-                    });
+                        tuple: Some(rel.tuple(i)),
+                    }));
                 }
+                _ => roots.push(Root {
+                    vid: child,
+                    tuple: None,
+                }),
             }
         }
-        Ok((main, roots))
+        Ok((stats, eval, roots))
     }
 
     /// Evaluates the schema tree against `db`, producing `v(I)` plus
-    /// statistics (and a trace when requested).
+    /// statistics: each finished window is drained straight into the
+    /// output document, recording the trace and the splice index on the
+    /// way when they are requested.
     fn full(&self, db: &Database, mut stats: PublishStats) -> Result<Published> {
-        let collect_splice = self.cfg.incremental && self.cfg.batched;
+        let (tracing, incremental) = (self.cfg.tracing, self.cfg.incremental);
         let shared = Shared {
             tree: self.tree,
             db,
             plans: self.plans,
-            use_plans: self.cfg.prepared,
-            tracing: self.cfg.tracing,
-            batched: self.cfg.batched,
-            collect_splice,
+            provenance: tracing || incremental,
         };
-        let (main, roots) = self.root_pass(&shared)?;
+        let (root_stats, mut eval, roots) = self.root_pass(&shared)?;
+        stats.absorb(&root_stats);
 
-        let outs = run_windows(&shared, &roots, self.cfg.parallel);
-
-        // Deterministic merge, in window (= document) order.
-        stats.absorb(&main.stats);
-        let mut eval = main.eval;
-        let mut trace = main.trace;
-        let mut builder = TreeBuilder::new();
-        let mut splice_parts: Vec<(Document, HashMap<xvc_xml::NodeId, SpliceEntry>)> = Vec::new();
-        for out in outs {
-            let out = out?;
-            let kids: Vec<_> = out.doc.children(out.doc.root()).to_vec();
-            for kid in kids {
-                builder.import(&out.doc, kid);
-            }
-            stats.absorb(&out.stats);
-            eval.absorb(&out.eval);
-            trace.extend(out.trace);
-            if collect_splice {
-                splice_parts.push((out.doc, out.splice));
-            }
-        }
-        let document = builder.finish();
-        let splice = collect_splice.then(|| {
-            // Window fragments were imported root child by root child, in
-            // window order; `import` deep-copies, so zipping the pre-orders
-            // of each fragment subtree with the matching final subtree
-            // remaps every recorded node id.
-            let mut entries = HashMap::new();
-            let mut final_roots = document.children(document.root()).iter().copied();
-            for (doc, mut part) in splice_parts {
-                for &kid in doc.children(doc.root()) {
-                    let froot = final_roots.next().expect("merge keeps root children");
-                    for (o, n) in doc
-                        .descendants_or_self(kid)
-                        .zip(document.descendants_or_self(froot))
-                    {
-                        if let Some(e) = part.remove(&o) {
-                            entries.insert(n, e);
-                        }
-                    }
-                }
-            }
-            SpliceIndex { entries }
-        });
+        let mut document = Document::new();
+        let doc_root = document.root();
+        let mut trace = tracing.then(TraceRec::new);
+        let mut splice = incremental.then(HashMap::new);
+        let (window_stats, window_eval) =
+            run_windows(&shared, &roots, self.cfg.parallel, |skel| {
+                skel.copy_into(
+                    SKEL_ROOT,
+                    &mut document,
+                    doc_root,
+                    splice.as_mut(),
+                    trace.as_mut(),
+                );
+                Ok(())
+            })?;
+        stats.absorb(&window_stats);
+        eval.absorb(&window_eval);
         Ok(Published {
             document,
             stats,
             eval,
-            trace: self.cfg.tracing.then_some(PublishTrace { entries: trace }),
-            splice,
+            trace: trace.map(|t| PublishTrace { entries: t.entries }),
+            splice: splice.map(|entries| SpliceIndex { entries }),
             reexecuted: Vec::new(),
         })
     }
 
     /// Streams `v(I)` into `sink` with no output DOM: the same root pass,
-    /// windows and breadth-first wave machinery as [`Run::full`], but each
-    /// window's elements land in the reusable [`Skeleton`] instead of an
-    /// arena document and are serialized out (document-order DFS) as soon
-    /// as the window's waves are exhausted, so the emission peak is
-    /// bounded by the largest window of [`ROOT_WINDOW`] root subtrees.
-    /// Byte output equals `full(..).document.to_xml()` through the same
-    /// [`XmlSink`]; stats and eval counters equal the batched
-    /// materializing path's (the memo stays window-scoped, the
-    /// decomposition is identical).
+    /// windows and walk as [`Run::full`], each window serialized out
+    /// (document-order DFS) as soon as its waves are exhausted. Byte
+    /// output equals `full(..).document.to_xml()` through the same
+    /// [`XmlSink`]; stats and eval counters are equal too.
     fn stream(
         &self,
         db: &Database,
@@ -495,32 +449,18 @@ impl Run<'_> {
             tree: self.tree,
             db,
             plans: self.plans,
-            use_plans: self.cfg.prepared,
-            tracing: false,
-            batched: true,
-            collect_splice: false,
+            provenance: false,
         };
-        let (main, roots) = self.root_pass(&shared)?;
-        stats.absorb(&main.stats);
-        let mut eval = main.eval;
-
-        let mut w = BatchWorker::with_store(&shared, Skeleton::default());
+        let (root_stats, mut eval, roots) = self.root_pass(&shared)?;
+        stats.absorb(&root_stats);
         let mut peak = 0usize;
-        for window in roots.chunks(ROOT_WINDOW) {
-            // Per-window state resets exactly as a fresh `BatchWorker`
-            // would: the memo is window-scoped (statistics parity with
-            // `run_window_batched`), the skeleton's buffers are drained but
-            // keep their capacity and interned names.
-            w.doc.begin_window();
-            w.memo.clear();
-            let root = w.doc.root();
-            let frontier = w.seed_window(root, window);
-            expand_frontier(&mut w, frontier)?;
-            peak = peak.max(w.doc.heap_bytes());
-            w.doc.emit(sink)?;
-        }
-        stats.absorb(&w.stats);
-        eval.absorb(&w.eval);
+        let (window_stats, window_eval) = run_windows(&shared, &roots, 1, |skel| {
+            peak = peak.max(skel.heap_bytes());
+            skel.emit(sink)?;
+            Ok(())
+        })?;
+        stats.absorb(&window_stats);
+        eval.absorb(&window_eval);
         Ok((stats, eval, peak))
     }
 
@@ -529,9 +469,9 @@ impl Run<'_> {
     /// ([`crate::TableDeps`]), re-executes only the *top-most* affected
     /// view nodes — level-at-a-time, one batch per (view node, wave)
     /// across every parent instance the delta can reach, or across all of
-    /// them where the key lineage cannot tell — and splices the fresh
-    /// subtrees into `prev`'s document in place of the stale ones.
-    /// See [`crate::Session::republish_delta`] for the full contract.
+    /// them where the key lineage cannot tell — and grafts the fresh
+    /// subtrees into a copy of `prev`'s document in place of the stale
+    /// ones. See [`crate::Session::republish_delta`] for the full contract.
     fn delta(
         &self,
         db: &Database,
@@ -602,29 +542,23 @@ impl Run<'_> {
             tree,
             db,
             plans: self.plans,
-            use_plans: self.cfg.prepared,
-            tracing: false,
-            batched: true,
-            collect_splice: true,
+            provenance: true,
         };
         let mut w = BatchWorker::new(&shared);
-        let wroot = w.doc.root();
-        let mut patches: HashMap<xvc_xml::NodeId, Vec<(ViewNodeId, xvc_xml::NodeId)>> =
-            HashMap::new();
+        w.skel.begin_window();
+        let mut patches: HashMap<NodeId, Vec<(ViewNodeId, u32)>> = HashMap::new();
         let mut frontier: Vec<Pending> = Vec::new();
-        let mut seed = |w: &mut BatchWorker<'_>,
-                        prev_parent: xvc_xml::NodeId,
-                        vid: ViewNodeId,
-                        env: Arc<ParamEnv>| {
-            let holder = w.doc.create_element("delta-holder");
-            w.doc.append_child(wroot, holder);
-            patches.entry(prev_parent).or_default().push((vid, holder));
-            frontier.push(Pending {
-                parent: holder,
-                vid,
-                env,
-            });
-        };
+        let mut seed =
+            |w: &mut BatchWorker<'_>, prev_parent: NodeId, vid: ViewNodeId, env: Arc<ParamEnv>| {
+                let holder = w.skel.create_element("delta-holder");
+                w.skel.append_child(SKEL_ROOT, holder);
+                patches.entry(prev_parent).or_default().push((vid, holder));
+                frontier.push(Pending {
+                    parent: holder,
+                    vid,
+                    env,
+                });
+            };
         let root_env = Arc::new(ParamEnv::new());
         for &n in &root_tops {
             seed(&mut w, prev.document.root(), n, Arc::clone(&root_env));
@@ -648,11 +582,11 @@ impl Run<'_> {
                 }
             }
         }
-        expand_frontier(&mut w, frontier)?;
+        w.expand(frontier)?;
 
         // Splice: rebuild the document (the arena has no detach), copying
         // unaffected subtrees from `prev` and grafting each holder's fresh
-        // children at the stale group's position.
+        // subtrees from the window store at the stale group's position.
         for list in patches.values_mut() {
             list.sort_by_key(|(vid, _)| vid.index());
         }
@@ -660,8 +594,7 @@ impl Run<'_> {
             old: &prev.document,
             old_splice: &prev_splice.entries,
             patches: &patches,
-            worker_doc: &w.doc,
-            worker_splice: &w.splice,
+            fresh: &w.skel,
             new_doc: Document::new(),
             entries: HashMap::new(),
             respliced: 0,
@@ -698,10 +631,9 @@ struct Shared<'a> {
     tree: &'a SchemaTree,
     db: &'a Database,
     plans: &'a HashMap<PlanKey, PlanEntry>,
-    use_plans: bool,
-    tracing: bool,
-    batched: bool,
-    collect_splice: bool,
+    /// Record each element's view node and environments in the window
+    /// store (traced and splice-collecting runs).
+    provenance: bool,
 }
 
 /// One root-level element instance to publish: a query-node tuple, or a
@@ -709,125 +641,97 @@ struct Shared<'a> {
 /// of [`ROOT_WINDOW`] a publish is cut into.
 struct Root {
     vid: ViewNodeId,
-    tag: String,
-    /// 0-based occurrence index of `tag` among root-level siblings, for
-    /// indexed trace paths.
-    index: usize,
     tuple: Option<NamedTuple>,
 }
 
-/// Same-tag root-level sibling counts preceding `window`, the seed of its
-/// indexed trace paths. A window is consecutive in document order, so the
-/// first instance of each tag carries the count of the ones before it.
-fn sibling_seed(window: &[Root]) -> HashMap<String, usize> {
-    let mut seed = HashMap::new();
-    for r in window {
-        seed.entry(r.tag.clone()).or_insert(r.index);
+/// Runs a root-level guard or tag query, once and without bindings:
+/// through its prepared plan, else the interpreter. Each root query runs
+/// once per publish, so its memo lookup is always a miss and nothing is
+/// worth batching.
+fn run_root_query(
+    shared: &Shared<'_>,
+    vid: ViewNodeId,
+    role: Role,
+    q: &SelectQuery,
+    stats: &mut PublishStats,
+    eval: &mut EvalStats,
+) -> Result<Relation> {
+    let env = ParamEnv::new();
+    if let Some(PlanEntry::Ready(plan)) = shared.plans.get(&(vid.index() as u32, role)) {
+        let rel = plan.execute_stats(shared.db, &env, eval)?;
+        // A plan with binding slots has no memo key under no bindings.
+        if plan.slots().is_empty() {
+            stats.memo_misses += 1;
+        }
+        return Ok(rel);
     }
-    seed
+    Ok(eval_query_stats(
+        shared.db,
+        q,
+        &env,
+        EvalOptions::default(),
+        eval,
+    )?)
 }
 
-/// What one window produced: a document fragment (its root elements'
-/// subtrees) plus its private counters and trace entries.
-struct WindowOut {
-    doc: Document,
-    stats: PublishStats,
-    eval: EvalStats,
-    trace: Vec<TraceEntry>,
-    /// Splice provenance keyed by *window-local* node ids (remapped to
-    /// final document ids during the merge). Empty unless splice
-    /// collection is on.
-    splice: HashMap<xvc_xml::NodeId, SpliceEntry>,
-}
-
-/// Cuts `roots` into windows of [`ROOT_WINDOW`] and runs each — inline
-/// when `parallel <= 1`, else on a scoped thread pool that hands out
-/// whole windows — returning results in window order.
-fn run_windows(shared: &Shared<'_>, roots: &[Root], parallel: usize) -> Vec<Result<WindowOut>> {
+/// Cuts `roots` into windows of [`ROOT_WINDOW`], expands each into a
+/// [`Skeleton`] — inline when `parallel <= 1`, else on a scoped thread
+/// pool that hands out whole windows — and passes every finished skeleton
+/// to `drain` in window (= document) order. Returns the windows' summed
+/// counters.
+fn run_windows(
+    shared: &Shared<'_>,
+    roots: &[Root],
+    parallel: usize,
+    mut drain: impl FnMut(&Skeleton) -> Result<()>,
+) -> Result<(PublishStats, EvalStats)> {
     let windows: Vec<&[Root]> = roots.chunks(ROOT_WINDOW).collect();
     let n = parallel.clamp(1, windows.len().max(1));
     if n <= 1 {
-        return windows.iter().map(|w| run_window(shared, w)).collect();
+        let mut w = BatchWorker::new(shared);
+        for window in windows {
+            w.run_window(window)?;
+            drain(&w.skel)?;
+        }
+        return Ok((w.stats, w.eval));
     }
-    let slots: Vec<Mutex<Option<Result<WindowOut>>>> =
+    let slots: Vec<Mutex<Option<Result<Skeleton>>>> =
         windows.iter().map(|_| Mutex::new(None)).collect();
+    let totals = Mutex::new((PublishStats::default(), EvalStats::default()));
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..n {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(window) = windows.get(i) else { break };
-                let out = run_window(shared, window);
-                *slots[i].lock().expect("window slot") = Some(out);
+            s.spawn(|| {
+                let mut w = BatchWorker::new(shared);
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(window) = windows.get(i) else { break };
+                    let out = w.run_window(window).map(|()| std::mem::take(&mut w.skel));
+                    *slots[i].lock().expect("window slot") = Some(out);
+                }
+                let mut t = totals.lock().expect("window totals");
+                t.0.absorb(&w.stats);
+                t.1.absorb(&w.eval);
             });
         }
     });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("window slot")
-                .expect("every window slot is filled")
-        })
-        .collect()
-}
-
-fn run_window(shared: &Shared<'_>, window: &[Root]) -> Result<WindowOut> {
-    if shared.batched {
-        return run_window_batched(shared, window);
+    for slot in slots {
+        let skel = slot
+            .into_inner()
+            .expect("window slot")
+            .expect("every window slot is filled")?;
+        drain(&skel)?;
     }
-    // The reference walk: one worker (and so one memo) per window, the
-    // scope the batched walk's memo has.
-    let mut w = Worker::new(shared, sibling_seed(window));
-    let env = ParamEnv::new();
-    for r in window {
-        w.emit_instance(r.vid, &env, r.tuple.as_ref())?;
-    }
-    Ok(WindowOut {
-        doc: w.builder.finish(),
-        stats: w.stats,
-        eval: w.eval,
-        trace: w.trace,
-        splice: HashMap::new(),
-    })
-}
-
-/// Publishes one window breadth-first: wave 0 is the window's root
-/// elements, and the frontier holds every `(parent element, view node,
-/// bindings)` still to expand at the current depth. Each (view node,
-/// wave) pair runs **one** set-oriented tag-query / guard execution for
-/// all its parents across the window, with the rows regrouped back to
-/// their parent elements afterwards. Document order is preserved because
-/// a parent's pending view nodes are expanded in schema order (ascending
-/// node id) and each batch returns per-binding rows in the scalar path's
-/// row order.
-fn run_window_batched(shared: &Shared<'_>, window: &[Root]) -> Result<WindowOut> {
-    let mut w = BatchWorker::new(shared);
-    let root = w.doc.root();
-    let frontier = w.seed_window(root, window);
-    expand_frontier(&mut w, frontier)?;
-
-    let trace = if shared.tracing {
-        w.build_trace(window)
-    } else {
-        Vec::new()
-    };
-    Ok(WindowOut {
-        doc: w.doc,
-        stats: w.stats,
-        eval: w.eval,
-        trace,
-        splice: w.splice,
-    })
+    Ok(totals.into_inner().expect("window totals"))
 }
 
 /// Queues every child view node of the element `el` (an instance of
 /// `vid`) for the next wave, all sharing the element's child bindings.
-fn push_children<Id: Copy>(
-    next: &mut Vec<Pending<Id>>,
+fn push_children(
+    next: &mut Vec<Pending>,
     tree: &SchemaTree,
     vid: ViewNodeId,
-    el: Id,
+    el: u32,
     env: &Arc<ParamEnv>,
 ) {
     for &c in tree.children(vid) {
@@ -839,91 +743,22 @@ fn push_children<Id: Copy>(
     }
 }
 
-/// The level-at-a-time engine of the batched path: expands `frontier`
-/// breadth-first to exhaustion inside `w`'s store. Factored out of
-/// [`run_window_batched`] so [`crate::Session::republish_delta`] can seed
-/// it with an arbitrary set of `(parent, view node, bindings)` slots
-/// instead of a window's roots, and generic over the [`WaveStore`] so the
-/// streaming sink ([`Run::stream`]) runs the identical walk.
-fn expand_frontier<S: WaveStore>(
-    w: &mut BatchWorker<'_, S>,
-    mut frontier: Vec<Pending<S::Id>>,
-) -> Result<()> {
-    let tree = w.shared.tree;
-    while !frontier.is_empty() {
-        let mut next: Vec<Pending<S::Id>> = Vec::new();
-        // Group the level by view node, in schema (ascending id) order:
-        // every parent sees its children appended in schema order, and
-        // each group becomes at most one guard batch + one tag batch.
-        let mut groups: std::collections::BTreeMap<usize, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for (i, p) in frontier.iter().enumerate() {
-            groups.entry(p.vid.index()).or_default().push(i);
-        }
-        for (_, mut live) in groups {
-            let vid = frontier[live[0]].vid;
-            let node = tree.node(vid).expect("frontier holds non-root ids");
-
-            if let Some(guard) = &node.guard {
-                w.touched.insert(vid.index());
-                let probe = guard_probe(guard);
-                let envs: Vec<&ParamEnv> = live.iter().map(|&i| &*frontier[i].env).collect();
-                w.stats.queries_run += envs.len();
-                let rels = w.run_batch(vid, Role::Guard, &probe, &envs)?;
-                live = live
-                    .iter()
-                    .zip(&rels)
-                    .filter(|(_, r)| !r.is_empty())
-                    .map(|(&i, _)| i)
-                    .collect();
-            }
-
-            if node.context_tuple_of.is_some() || node.query.is_none() {
-                for &i in &live {
-                    let p = &frontier[i];
-                    let (el, child_env) = w.emit_node_instance(p.parent, vid, &p.env, None);
-                    push_children(&mut next, tree, vid, el, &child_env);
-                }
-                continue;
-            }
-
-            w.touched.insert(vid.index());
-            let query = node.query.as_ref().expect("query node");
-            let envs: Vec<&ParamEnv> = live.iter().map(|&i| &*frontier[i].env).collect();
-            let rels = w.run_batch(vid, Role::Tag, query, &envs)?;
-            for (&i, rel) in live.iter().zip(&rels) {
-                let p = &frontier[i];
-                w.stats.queries_run += 1;
-                w.stats.tuples_fetched += rel.len();
-                for row in &rel.rows {
-                    let (el, child_env) =
-                        w.emit_node_instance(p.parent, vid, &p.env, Some((&rel.columns, row)));
-                    push_children(&mut next, tree, vid, el, &child_env);
-                }
-            }
-        }
-        frontier = next;
-    }
-    Ok(())
-}
-
 /// Rebuilds the previous document with fresh subtrees grafted in. The
 /// arena [`Document`] has no node removal, so splicing is a copy walk:
 /// unaffected nodes are copied verbatim from the old document; at a
 /// patched parent, each stale child group (all instances of one view
-/// node) is replaced by the matching holder's children from the delta
-/// worker's document, at the stale group's sibling position.
+/// node) is replaced by the matching holder's subtrees from the delta
+/// run's window store, at the stale group's sibling position.
 struct Graft<'g> {
     old: &'g Document,
-    old_splice: &'g HashMap<xvc_xml::NodeId, SpliceEntry>,
+    old_splice: &'g HashMap<NodeId, SpliceEntry>,
     /// Old parent node → `(child view node, holder)` replacements, sorted
     /// by ascending view-node index (sibling groups appear in that order).
-    patches: &'g HashMap<xvc_xml::NodeId, Vec<(ViewNodeId, xvc_xml::NodeId)>>,
-    worker_doc: &'g Document,
-    worker_splice: &'g HashMap<xvc_xml::NodeId, SpliceEntry>,
+    patches: &'g HashMap<NodeId, Vec<(ViewNodeId, u32)>>,
+    fresh: &'g Skeleton,
     new_doc: Document,
     /// Splice index of the rebuilt document, filled during the walk.
-    entries: HashMap<xvc_xml::NodeId, SpliceEntry>,
+    entries: HashMap<NodeId, SpliceEntry>,
     respliced: usize,
 }
 
@@ -935,7 +770,7 @@ impl Graft<'_> {
     /// of a higher view-node index (sibling groups are emitted in
     /// ascending index order, so this is the position a full republish
     /// would produce).
-    fn copy_children(&mut self, old_parent: xvc_xml::NodeId, new_parent: xvc_xml::NodeId) {
+    fn copy_children(&mut self, old_parent: NodeId, new_parent: NodeId) {
         let patch = self.patches.get(&old_parent).map_or(&[][..], Vec::as_slice);
         let mut pi = 0;
         for &c in self.old.children(old_parent) {
@@ -957,134 +792,56 @@ impl Graft<'_> {
         }
     }
 
-    /// Appends every child of a delta-worker holder under `new_parent`.
-    fn graft_holder(&mut self, holder: xvc_xml::NodeId, new_parent: xvc_xml::NodeId) {
-        for &c in self.worker_doc.children(holder) {
-            self.respliced += 1;
-            copy_subtree(
-                self.worker_doc,
-                self.worker_splice,
-                c,
-                &mut self.new_doc,
-                new_parent,
-                &mut self.entries,
-            );
-        }
+    /// Appends every subtree under a delta holder at `new_parent`.
+    fn graft_holder(&mut self, holder: u32, new_parent: NodeId) {
+        self.respliced += self.fresh.copy_into(
+            holder,
+            &mut self.new_doc,
+            new_parent,
+            Some(&mut self.entries),
+            None,
+        );
     }
 
     /// Copies one old subtree, descending with patch awareness (a patched
     /// parent can sit arbitrarily deep below an unaffected ancestor).
-    fn copy_old_subtree(&mut self, old_id: xvc_xml::NodeId, new_parent: xvc_xml::NodeId) {
-        let new_id = copy_node(
-            self.old,
-            self.old_splice,
-            old_id,
-            &mut self.new_doc,
-            new_parent,
-            &mut self.entries,
-        );
+    fn copy_old_subtree(&mut self, old_id: NodeId, new_parent: NodeId) {
+        let new_id = match self.old.kind(old_id) {
+            xvc_xml::NodeKind::Element { name, attrs } => {
+                let el = self.new_doc.create_element(name.clone());
+                for (k, v) in attrs {
+                    self.new_doc
+                        .set_attr(el, k.clone(), v.clone())
+                        .expect("created as element");
+                }
+                el
+            }
+            xvc_xml::NodeKind::Text(t) => self.new_doc.create_text(t.clone()),
+            xvc_xml::NodeKind::Root => unreachable!("roots are never copied"),
+        };
+        self.new_doc.append_child(new_parent, new_id);
+        if let Some(e) = self.old_splice.get(&old_id) {
+            self.entries.insert(new_id, e.clone());
+        }
         self.copy_children(old_id, new_id);
     }
 }
 
-/// Copies a single node (element or text) without its children, carrying
-/// its splice entry over; returns the new id.
-fn copy_node(
-    src: &Document,
-    src_splice: &HashMap<xvc_xml::NodeId, SpliceEntry>,
-    src_id: xvc_xml::NodeId,
-    dst: &mut Document,
-    dst_parent: xvc_xml::NodeId,
-    dst_splice: &mut HashMap<xvc_xml::NodeId, SpliceEntry>,
-) -> xvc_xml::NodeId {
-    let new_id = match src.kind(src_id) {
-        xvc_xml::NodeKind::Element { name, attrs } => {
-            let (name, attrs) = (name.clone(), attrs.clone());
-            let el = dst.create_element(name);
-            for (k, v) in attrs {
-                dst.set_attr(el, k, v).expect("created as element");
-            }
-            el
-        }
-        xvc_xml::NodeKind::Text(t) => {
-            let t = t.clone();
-            dst.create_text(t)
-        }
-        xvc_xml::NodeKind::Root => unreachable!("roots are never copied"),
-    };
-    dst.append_child(dst_parent, new_id);
-    if let Some(e) = src_splice.get(&src_id) {
-        dst_splice.insert(new_id, e.clone());
-    }
-    new_id
-}
-
-/// Copies a whole subtree (used for grafting fresh delta subtrees).
-fn copy_subtree(
-    src: &Document,
-    src_splice: &HashMap<xvc_xml::NodeId, SpliceEntry>,
-    src_id: xvc_xml::NodeId,
-    dst: &mut Document,
-    dst_parent: xvc_xml::NodeId,
-    dst_splice: &mut HashMap<xvc_xml::NodeId, SpliceEntry>,
-) {
-    let new_id = copy_node(src, src_splice, src_id, dst, dst_parent, dst_splice);
-    for &c in src.children(src_id) {
-        copy_subtree(src, src_splice, c, dst, new_id, dst_splice);
-    }
-}
-
-/// One frontier slot: a view node still to expand under `parent` with the
-/// bindings accumulated on the path down to it, shared with the slot's
-/// sibling view nodes under the same parent. Generic over the element
-/// handle of the [`WaveStore`] the walk materializes into (arena
-/// [`xvc_xml::NodeId`] by default).
-struct Pending<Id = xvc_xml::NodeId> {
-    parent: Id,
+/// One frontier slot: a view node still to expand under the window-store
+/// element `parent`, with the bindings accumulated on the path down to
+/// it, shared with the slot's sibling view nodes under the same parent.
+struct Pending {
+    parent: u32,
     vid: ViewNodeId,
     env: Arc<ParamEnv>,
 }
 
-/// Where the batched frontier walk materializes elements: the arena
-/// [`Document`] (full publishes, traces, delta splicing) or the reusable
-/// per-window [`Skeleton`] drained by the streaming sink. The store only
-/// sees the three structural operations the wave loop performs; the memo,
-/// batching and statistics machinery is shared by both, so the two
-/// emission back ends cannot drift apart.
-trait WaveStore {
-    /// Copyable element handle (hashable: provenance maps key on it).
-    type Id: Copy + Eq + std::hash::Hash;
-    /// Creates a detached element named `tag`.
-    fn create_element(&mut self, tag: &str) -> Self::Id;
-    /// Appends a freshly created element as `parent`'s last child.
-    fn append_child(&mut self, parent: Self::Id, child: Self::Id);
-    /// Sets an attribute; a duplicate name replaces the existing value
-    /// **in place** (the arena contract, load-bearing for byte parity).
-    fn set_attr(&mut self, el: Self::Id, name: &str, value: &str);
-}
-
-impl WaveStore for Document {
-    type Id = xvc_xml::NodeId;
-
-    fn create_element(&mut self, tag: &str) -> xvc_xml::NodeId {
-        Document::create_element(self, tag)
-    }
-
-    fn append_child(&mut self, parent: xvc_xml::NodeId, child: xvc_xml::NodeId) {
-        Document::append_child(self, parent, child);
-    }
-
-    fn set_attr(&mut self, el: xvc_xml::NodeId, name: &str, value: &str) {
-        Document::set_attr(self, el, name, value).expect("created as element");
-    }
-}
+/// The synthetic window root of a [`Skeleton`] (its children are the
+/// window's root elements, or the delta run's holders).
+const SKEL_ROOT: u32 = 0;
 
 /// Sentinel for "no node" in the skeleton's intrusive child lists.
 const SKEL_NONE: u32 = u32::MAX;
-
-/// Element handle inside a [`Skeleton`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct SkelId(u32);
 
 #[derive(Debug, Clone, Copy)]
 struct SkelNode {
@@ -1109,11 +866,21 @@ struct SkelAttr {
     val_len: u32,
 }
 
-/// The streaming path's per-window element store: just enough structure
-/// to emit one window's root-level subtrees in document order after its
-/// breadth-first waves complete. Tag and attribute names are interned (a
-/// schema tree has a handful of distinct names, reused across every
-/// window); attribute values share one text buffer; child lists are
+/// What a traced or splice-collecting walk remembers about one element.
+#[derive(Debug, Clone)]
+struct Prov {
+    view: ViewNodeId,
+    /// The environment the element's tag query (or guard) ran under.
+    env: Arc<ParamEnv>,
+    /// See [`SpliceEntry::child_env`].
+    child_env: Option<Arc<ParamEnv>>,
+}
+
+/// The per-window element store of the publish walk: just enough
+/// structure to drain one window's root-level subtrees in document order
+/// after its breadth-first waves complete. Tag and attribute names are
+/// interned (a schema tree has a handful of distinct names, reused across
+/// every window); attribute values share one text buffer; child lists are
 /// intrusive `u32` links. [`Skeleton::begin_window`] drains everything but
 /// keeps the capacity and the name table, so steady-state publishing
 /// allocates almost nothing and peak emission memory is bounded by the
@@ -1129,6 +896,9 @@ struct Skeleton {
     /// bytes until the next `begin_window` — duplicate attribute names
     /// are rare and windows are short-lived.
     text: String,
+    /// Per-node provenance, indexed like `nodes`; filled only on runs
+    /// that record it (`None` for the window root and delta holders).
+    prov: Vec<Option<Prov>>,
 }
 
 impl Skeleton {
@@ -1138,6 +908,7 @@ impl Skeleton {
         self.nodes.clear();
         self.attrs.clear();
         self.text.clear();
+        self.prov.clear();
         self.nodes.push(SkelNode {
             tag: SKEL_NONE,
             first_child: SKEL_NONE,
@@ -1146,12 +917,6 @@ impl Skeleton {
             attr_start: 0,
             attr_len: 0,
         });
-    }
-
-    /// The synthetic window root (emission serializes its children).
-    fn root(&self) -> SkelId {
-        debug_assert!(!self.nodes.is_empty(), "begin_window before use");
-        SkelId(0)
     }
 
     fn intern(&mut self, name: &str) -> u32 {
@@ -1170,47 +935,12 @@ impl Skeleton {
         self.nodes.capacity() * std::mem::size_of::<SkelNode>()
             + self.attrs.capacity() * std::mem::size_of::<SkelAttr>()
             + self.text.capacity()
+            + self.prov.capacity() * std::mem::size_of::<Option<Prov>>()
             + self.names.iter().map(String::capacity).sum::<usize>()
     }
 
-    /// Serializes the window's subtrees into `sink` in document order (an
-    /// iterative DFS over the intrusive child links; no recursion, so
-    /// recursion-heavy views cannot overflow the stack here).
-    fn emit(&self, sink: &mut dyn XmlSink) -> io::Result<()> {
-        let mut stack: Vec<u32> = Vec::new();
-        let mut cur = self.nodes[0].first_child;
-        loop {
-            while cur != SKEL_NONE {
-                let n = self.nodes[cur as usize];
-                sink.start_element(&self.names[n.tag as usize])?;
-                for a in &self.attrs[n.attr_start as usize..(n.attr_start + n.attr_len) as usize] {
-                    sink.attr(
-                        &self.names[a.name as usize],
-                        &self.text[a.val_start as usize..(a.val_start + a.val_len) as usize],
-                    )?;
-                }
-                stack.push(cur);
-                cur = n.first_child;
-            }
-            loop {
-                let Some(top) = stack.pop() else {
-                    return Ok(());
-                };
-                let n = self.nodes[top as usize];
-                sink.end_element(&self.names[n.tag as usize])?;
-                if n.next_sibling != SKEL_NONE {
-                    cur = n.next_sibling;
-                    break;
-                }
-            }
-        }
-    }
-}
-
-impl WaveStore for Skeleton {
-    type Id = SkelId;
-
-    fn create_element(&mut self, tag: &str) -> SkelId {
+    /// Creates a detached element named `tag`.
+    fn create_element(&mut self, tag: &str) -> u32 {
         let tag = self.intern(tag);
         let id = u32::try_from(self.nodes.len()).expect("window fits u32 nodes");
         self.nodes.push(SkelNode {
@@ -1221,26 +951,30 @@ impl WaveStore for Skeleton {
             attr_start: u32::try_from(self.attrs.len()).expect("attrs fit u32"),
             attr_len: 0,
         });
-        SkelId(id)
+        id
     }
 
-    fn append_child(&mut self, parent: SkelId, child: SkelId) {
-        let p = parent.0 as usize;
+    /// Appends a freshly created element as `parent`'s last child.
+    fn append_child(&mut self, parent: u32, child: u32) {
+        let p = parent as usize;
         if self.nodes[p].first_child == SKEL_NONE {
-            self.nodes[p].first_child = child.0;
+            self.nodes[p].first_child = child;
         } else {
             let last = self.nodes[p].last_child as usize;
-            self.nodes[last].next_sibling = child.0;
+            self.nodes[last].next_sibling = child;
         }
-        self.nodes[p].last_child = child.0;
+        self.nodes[p].last_child = child;
     }
 
-    fn set_attr(&mut self, el: SkelId, name: &str, value: &str) {
+    /// Sets an attribute; a duplicate name replaces the existing value
+    /// **in place**, as [`Document::set_attr`] does (load-bearing for
+    /// byte parity with the reference walk).
+    fn set_attr(&mut self, el: u32, name: &str, value: &str) {
         let name = self.intern(name);
         let val_start = u32::try_from(self.text.len()).expect("values fit u32");
         self.text.push_str(value);
         let val_len = u32::try_from(value.len()).expect("value fits u32");
-        let e = el.0 as usize;
+        let e = el as usize;
         let (start, len) = (
             self.nodes[e].attr_start as usize,
             self.nodes[e].attr_len as usize,
@@ -1249,8 +983,6 @@ impl WaveStore for Skeleton {
             .iter_mut()
             .find(|a| a.name == name)
         {
-            // Mirror the arena: a duplicate name replaces the value at the
-            // original attribute position.
             a.val_start = val_start;
             a.val_len = val_len;
             return;
@@ -1267,88 +999,314 @@ impl WaveStore for Skeleton {
         });
         self.nodes[e].attr_len += 1;
     }
-}
 
-/// Per-window state of the breadth-first walk. Unlike [`Worker`] it
-/// builds its [`WaveStore`] directly (batched expansion appends to
-/// parents created in earlier waves, which a forward-only builder cannot
-/// do): the arena [`Document`] for full/delta publishes — with the trace
-/// reconstructed afterwards in document order — or the [`Skeleton`] the
-/// streaming sink drains.
-struct BatchWorker<'a, S: WaveStore = Document> {
-    shared: &'a Shared<'a>,
-    doc: S,
-    stats: PublishStats,
-    eval: EvalStats,
-    /// [`memo_key`] → relation, same scope and cap as the scalar worker's
-    /// memo. Relations are shared with the batch output slots, not copied.
-    memo: HashMap<String, Rc<Relation>>,
-    /// Element provenance for trace reconstruction (tracing runs only).
-    prov: HashMap<S::Id, (ViewNodeId, Arc<ParamEnv>)>,
-    /// Splice provenance (splice-collecting runs only).
-    splice: HashMap<S::Id, SpliceEntry>,
-    /// View nodes whose guard / tag batches this worker issued (delta-path
-    /// soundness bookkeeping; node arena indexes).
-    touched: std::collections::BTreeSet<usize>,
-}
-
-impl<'a> BatchWorker<'a, Document> {
-    fn new(shared: &'a Shared<'a>) -> Self {
-        Self::with_store(shared, Document::new())
+    fn set_prov(&mut self, el: u32, prov: Prov) {
+        let e = el as usize;
+        if self.prov.len() <= e {
+            self.prov.resize(e + 1, None);
+        }
+        self.prov[e] = Some(prov);
     }
-}
 
-impl<'a, S: WaveStore> BatchWorker<'a, S> {
-    fn with_store(shared: &'a Shared<'a>, doc: S) -> Self {
-        BatchWorker {
-            shared,
-            doc,
-            stats: PublishStats::default(),
-            eval: EvalStats::default(),
-            memo: HashMap::new(),
-            prov: HashMap::new(),
-            splice: HashMap::new(),
-            touched: std::collections::BTreeSet::new(),
+    fn tag(&self, el: u32) -> &str {
+        &self.names[self.nodes[el as usize].tag as usize]
+    }
+
+    /// `(name, value)` of each attribute of `el`, in order.
+    fn attrs(&self, el: u32) -> impl Iterator<Item = (&str, &str)> {
+        let n = self.nodes[el as usize];
+        self.attrs[n.attr_start as usize..(n.attr_start + n.attr_len) as usize]
+            .iter()
+            .map(|a| {
+                (
+                    self.names[a.name as usize].as_str(),
+                    &self.text[a.val_start as usize..(a.val_start + a.val_len) as usize],
+                )
+            })
+    }
+
+    /// Walks the subtrees under `from` (its descendants, not `from`
+    /// itself) in document order: `f(el, true)` on entering an element,
+    /// `f(el, false)` on leaving it. Iterative, so recursion-heavy views
+    /// cannot overflow the stack here.
+    fn walk<E>(
+        &self,
+        from: u32,
+        mut f: impl FnMut(u32, bool) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let mut stack: Vec<u32> = Vec::new();
+        let mut cur = self.nodes[from as usize].first_child;
+        loop {
+            while cur != SKEL_NONE {
+                f(cur, true)?;
+                stack.push(cur);
+                cur = self.nodes[cur as usize].first_child;
+            }
+            loop {
+                let Some(top) = stack.pop() else {
+                    return Ok(());
+                };
+                f(top, false)?;
+                let next = self.nodes[top as usize].next_sibling;
+                if next != SKEL_NONE {
+                    cur = next;
+                    break;
+                }
+            }
         }
     }
 
-    /// Wave 0 of a window's walk: emits the window's root elements under
-    /// `root`, in document order, and returns the frontier of their child
-    /// view nodes.
-    fn seed_window(&mut self, root: S::Id, window: &[Root]) -> Vec<Pending<S::Id>> {
+    /// Serializes the window's subtrees into `sink` in document order.
+    fn emit(&self, sink: &mut dyn XmlSink) -> io::Result<()> {
+        self.walk(SKEL_ROOT, |el, open| {
+            if !open {
+                return sink.end_element(self.tag(el));
+            }
+            sink.start_element(self.tag(el))?;
+            for (name, value) in self.attrs(el) {
+                sink.attr(name, value)?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Appends the subtrees under `from` to `parent`'s children in `doc`,
+    /// recording each element's splice entry into `splice` and its trace
+    /// entry into `trace` when those are given (the provenance must have
+    /// been recorded). Returns the number of subtrees appended.
+    fn copy_into(
+        &self,
+        from: u32,
+        doc: &mut Document,
+        parent: NodeId,
+        mut splice: Option<&mut HashMap<NodeId, SpliceEntry>>,
+        mut trace: Option<&mut TraceRec>,
+    ) -> usize {
+        let mut open_els = vec![parent];
+        let mut top_level = 0;
+        let done: std::result::Result<(), std::convert::Infallible> =
+            self.walk(from, |el, open| {
+                if !open {
+                    open_els.pop();
+                    if let Some(t) = trace.as_deref_mut() {
+                        t.close();
+                    }
+                    return Ok(());
+                }
+                let tag = self.tag(el);
+                let node = doc.create_element(tag);
+                for (name, value) in self.attrs(el) {
+                    doc.set_attr(node, name, value).expect("created as element");
+                }
+                let up = *open_els.last().expect("parent stays open");
+                doc.append_child(up, node);
+                if up == parent {
+                    top_level += 1;
+                }
+                open_els.push(node);
+                let prov = self.prov.get(el as usize).and_then(Option::as_ref);
+                if let Some(t) = trace.as_deref_mut() {
+                    t.open(tag, prov.map(|p| (p.view, &*p.env)));
+                }
+                if let (Some(s), Some(p)) = (splice.as_deref_mut(), prov) {
+                    s.insert(
+                        node,
+                        SpliceEntry {
+                            view: p.view,
+                            child_env: p.child_env.clone(),
+                        },
+                    );
+                }
+                Ok(())
+            });
+        if let Err(never) = done {
+            match never {}
+        }
+        top_level
+    }
+}
+
+/// Indexed-path bookkeeping of a traced publish. `counts[0]` holds the
+/// root-level same-tag sibling counts and lives across windows, which are
+/// recorded in document order.
+#[derive(Debug)]
+pub(crate) struct TraceRec {
+    pub(crate) entries: Vec<TraceEntry>,
+    /// Indexed path segments of currently open elements.
+    path: Vec<String>,
+    /// Per open level: same-tag sibling counts emitted so far.
+    counts: Vec<HashMap<String, usize>>,
+}
+
+impl TraceRec {
+    pub(crate) fn new() -> Self {
+        TraceRec {
+            entries: Vec::new(),
+            path: Vec::new(),
+            counts: vec![HashMap::new()],
+        }
+    }
+
+    /// Enters an element named `tag`, recording an entry for it when its
+    /// provenance `(view node, environment)` is known.
+    pub(crate) fn open(&mut self, tag: &str, prov: Option<(ViewNodeId, &ParamEnv)>) {
+        let level = self.counts.last_mut().expect("counts is never empty");
+        let n = level.entry(tag.to_owned()).or_insert(0);
+        *n += 1;
+        self.path.push(format!("{tag}[{n}]"));
+        self.counts.push(HashMap::new());
+        if let Some((view, env)) = prov {
+            self.entries.push(TraceEntry {
+                path: format!("/{}", self.path.join("/")),
+                view,
+                env: env.clone(),
+            });
+        }
+    }
+
+    /// Leaves the innermost open element.
+    pub(crate) fn close(&mut self) {
+        self.path.pop();
+        self.counts.pop();
+    }
+}
+
+/// Per-window state of the breadth-first walk: the window store, private
+/// counters and the window-scoped result memo. One worker serves many
+/// windows in turn ([`BatchWorker::run_window`] resets the per-window
+/// state), or one delta run.
+struct BatchWorker<'a> {
+    shared: &'a Shared<'a>,
+    skel: Skeleton,
+    stats: PublishStats,
+    eval: EvalStats,
+    /// [`memo_key`] → relation, scoped to one window and capped at
+    /// [`MEMO_CAP`]. Relations are shared with the batch output slots,
+    /// not copied.
+    memo: HashMap<String, Rc<Relation>>,
+    /// View nodes whose guard / tag batches this worker issued (delta-path
+    /// soundness bookkeeping; node arena indexes).
+    touched: BTreeSet<usize>,
+}
+
+impl<'a> BatchWorker<'a> {
+    fn new(shared: &'a Shared<'a>) -> Self {
+        BatchWorker {
+            shared,
+            skel: Skeleton::default(),
+            stats: PublishStats::default(),
+            eval: EvalStats::default(),
+            memo: HashMap::new(),
+            touched: BTreeSet::new(),
+        }
+    }
+
+    /// Publishes one window breadth-first into a fresh skeleton: wave 0 is
+    /// the window's root elements, and the frontier holds every `(parent
+    /// element, view node, bindings)` still to expand at the current
+    /// depth. The memo is window-scoped, so statistics cannot depend on
+    /// how windows are spread over threads.
+    fn run_window(&mut self, window: &[Root]) -> Result<()> {
+        self.skel.begin_window();
+        self.memo.clear();
         let env = Arc::new(ParamEnv::new());
         let mut frontier = Vec::new();
         for r in window {
             let row = r.tuple.as_ref().map(|t| (&t.columns[..], &t.values[..]));
-            let (el, child_env) = self.emit_node_instance(root, r.vid, &env, row);
+            let (el, child_env) = self.emit_node_instance(SKEL_ROOT, r.vid, &env, row);
             push_children(&mut frontier, self.shared.tree, r.vid, el, &child_env);
         }
-        frontier
+        self.expand(frontier)
+    }
+
+    /// Expands `frontier` breadth-first to exhaustion. Each (view node,
+    /// wave) pair runs **one** set-oriented tag-query / guard execution
+    /// for all its parents, with the rows regrouped back to their parent
+    /// elements afterwards. Document order is preserved because a parent's
+    /// pending view nodes are expanded in schema order (ascending node id)
+    /// and each batch returns per-binding rows in the reference walk's row
+    /// order. Windows and the delta run seed it alike.
+    fn expand(&mut self, mut frontier: Vec<Pending>) -> Result<()> {
+        let tree = self.shared.tree;
+        while !frontier.is_empty() {
+            let mut next: Vec<Pending> = Vec::new();
+            // Group the level by view node, in schema (ascending id) order:
+            // every parent sees its children appended in schema order, and
+            // each group becomes at most one guard batch + one tag batch.
+            let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+            for (i, p) in frontier.iter().enumerate() {
+                groups.entry(p.vid.index()).or_default().push(i);
+            }
+            for (_, mut live) in groups {
+                let vid = frontier[live[0]].vid;
+                let node = tree.node(vid).expect("frontier holds non-root ids");
+
+                if let Some(guard) = &node.guard {
+                    self.touched.insert(vid.index());
+                    let probe = guard_probe(guard);
+                    let envs: Vec<&ParamEnv> = live.iter().map(|&i| &*frontier[i].env).collect();
+                    self.stats.queries_run += envs.len();
+                    let rels = self.run_batch(vid, Role::Guard, &probe, &envs)?;
+                    live = live
+                        .iter()
+                        .zip(&rels)
+                        .filter(|(_, r)| !r.is_empty())
+                        .map(|(&i, _)| i)
+                        .collect();
+                }
+
+                if node.context_tuple_of.is_some() || node.query.is_none() {
+                    for &i in &live {
+                        let p = &frontier[i];
+                        let (el, child_env) = self.emit_node_instance(p.parent, vid, &p.env, None);
+                        push_children(&mut next, tree, vid, el, &child_env);
+                    }
+                    continue;
+                }
+
+                self.touched.insert(vid.index());
+                let query = node.query.as_ref().expect("query node");
+                let envs: Vec<&ParamEnv> = live.iter().map(|&i| &*frontier[i].env).collect();
+                let rels = self.run_batch(vid, Role::Tag, query, &envs)?;
+                for (&i, rel) in live.iter().zip(&rels) {
+                    let p = &frontier[i];
+                    self.stats.queries_run += 1;
+                    self.stats.tuples_fetched += rel.len();
+                    for row in &rel.rows {
+                        let (el, child_env) = self.emit_node_instance(
+                            p.parent,
+                            vid,
+                            &p.env,
+                            Some((&rel.columns, row)),
+                        );
+                        push_children(&mut next, tree, vid, el, &child_env);
+                    }
+                }
+            }
+            frontier = next;
+        }
+        Ok(())
     }
 
     /// Creates one element instance under `parent` — tag, static and
     /// projected attributes of its tuple row (`(columns, values)`),
     /// counters, provenance — and returns it with the environment its
     /// children run under. A node with no children builds no child
-    /// environment and hands back `env`. The per-node-kind logic mirrors
-    /// [`Worker::emit_instance`] exactly.
+    /// environment and hands back `env`.
     fn emit_node_instance(
         &mut self,
-        parent: S::Id,
+        parent: u32,
         vid: ViewNodeId,
         env: &Arc<ParamEnv>,
         row: Option<(&[String], &[xvc_rel::Value])>,
-    ) -> (S::Id, Arc<ParamEnv>) {
+    ) -> (u32, Arc<ParamEnv>) {
         let tree = self.shared.tree;
         let node = tree.node(vid).expect("non-root id");
-        let el = self.doc.create_element(&node.tag);
-        self.doc.append_child(parent, el);
+        let el = self.skel.create_element(&node.tag);
+        self.skel.append_child(parent, el);
         self.stats.elements += 1;
-        if self.shared.tracing {
-            self.prov.insert(el, (vid, Arc::clone(env)));
-        }
         for (k, v) in &node.static_attrs {
-            self.doc.set_attr(el, k, v);
+            self.skel.set_attr(el, k, v);
             self.stats.attributes += 1;
         }
         let needs_env = !tree.children(vid).is_empty();
@@ -1370,11 +1328,12 @@ impl<'a, S: WaveStore> BatchWorker<'a, S> {
                 Arc::make_mut(&mut child_env).insert(node.bv.clone(), t);
             }
         }
-        if self.shared.collect_splice {
-            self.splice.insert(
+        if self.shared.provenance {
+            self.skel.set_prov(
                 el,
-                SpliceEntry {
+                Prov {
                     view: vid,
+                    env: Arc::clone(env),
                     child_env: needs_env.then(|| Arc::clone(&child_env)),
                 },
             );
@@ -1385,22 +1344,24 @@ impl<'a, S: WaveStore> BatchWorker<'a, S> {
     /// Sets a row's projected columns as attributes (see [`project_attrs`]).
     fn set_tuple_attrs(
         &mut self,
-        el: S::Id,
+        el: u32,
         attrs: &AttrProjection,
         columns: &[String],
         values: &[xvc_rel::Value],
     ) {
         for (k, v) in project_attrs(attrs, columns, values) {
-            self.doc.set_attr(el, k, &v.render());
+            self.skel.set_attr(el, k, &v.render());
             self.stats.attributes += 1;
         }
     }
 
-    /// Set-oriented counterpart of [`Worker::run_tag_query`]: one relation
-    /// per environment, in order. Memo semantics are emulated exactly
-    /// (hits, misses, cap-bounded inserts) by resolving every binding's
-    /// memo key first and batching only the environments the scalar path
-    /// would have sent to the engine.
+    /// One relation per environment, in order: the set-oriented execution
+    /// of a node's tag query or guard probe. The window-scoped memo is
+    /// honored exactly as the reference walk's (hits, misses, cap-bounded
+    /// inserts) by resolving every binding's memo key first and batching
+    /// only the environments the reference would have sent to the engine.
+    /// A node whose plan failed to prepare runs per environment through
+    /// the interpreter, with no memo and no batch counters.
     fn run_batch(
         &mut self,
         vid: ViewNodeId,
@@ -1412,351 +1373,83 @@ impl<'a, S: WaveStore> BatchWorker<'a, S> {
             return Ok(Vec::new());
         }
         let plan_key = (vid.index() as u32, role);
-        if self.shared.use_plans {
-            if let Some(PlanEntry::Ready(plan)) = self.shared.plans.get(&plan_key) {
-                let mut out: Vec<Option<Rc<Relation>>> = vec![None; envs.len()];
-                // env index → slot in `pending` whose result it shares.
-                let mut share: Vec<usize> = vec![usize::MAX; envs.len()];
-                let mut pending: Vec<&ParamEnv> = Vec::new();
-                // memo key → (pending slot of its first execution, whether
-                // that execution will be inserted into the memo).
-                let mut in_flight: HashMap<String, (usize, bool)> = HashMap::new();
-                let mut planned_inserts = 0usize;
-                let mut key = String::new();
-                for (i, &env) in envs.iter().enumerate() {
-                    // Unresolvable slots bypass the memo, exactly like the
-                    // scalar path (the execution itself reports the unbound
-                    // parameter, if the plan reaches it).
-                    if !memo_key(&mut key, plan_key, plan.slots(), env) {
-                        share[i] = pending.len();
-                        pending.push(env);
-                    } else if let Some(hit) = self.memo.get(&key) {
-                        self.stats.memo_hits += 1;
-                        out[i] = Some(Rc::clone(hit));
-                    } else if let Some(&(slot, will_insert)) = in_flight.get(&key) {
-                        // Scalar would find the first execution's insert
-                        // (hit) — or, past the cap, miss and re-execute;
-                        // the engine work is shared either way, only the
-                        // counter differs.
-                        if will_insert {
-                            self.stats.memo_hits += 1;
-                        } else {
-                            self.stats.memo_misses += 1;
-                        }
-                        share[i] = slot;
-                    } else {
-                        self.stats.memo_misses += 1;
-                        let will_insert = self.memo.len() + planned_inserts < MEMO_CAP;
-                        if will_insert {
-                            planned_inserts += 1;
-                        }
-                        in_flight.insert(key.clone(), (pending.len(), will_insert));
-                        share[i] = pending.len();
-                        pending.push(env);
-                    }
-                }
-                if !pending.is_empty() {
-                    let batch =
-                        plan.execute_batch_stats(self.shared.db, &pending, &mut self.eval)?;
-                    self.stats.batches_executed += 1;
-                    self.stats.bindings_per_batch_max =
-                        self.stats.bindings_per_batch_max.max(pending.len());
-                    self.stats.rows_regrouped += batch.total_rows();
-                    let rels: Vec<Rc<Relation>> =
-                        batch.into_relations().into_iter().map(Rc::new).collect();
-                    for (key, (slot, will_insert)) in in_flight {
-                        if will_insert {
-                            self.memo.insert(key, Rc::clone(&rels[slot]));
-                        }
-                    }
-                    for (o, &slot) in out.iter_mut().zip(&share) {
-                        if o.is_none() {
-                            *o = Some(Rc::clone(&rels[slot]));
-                        }
-                    }
-                }
-                return Ok(out
-                    .into_iter()
-                    .map(|r| r.expect("every env is memo-served or batched"))
-                    .collect());
-            }
-        }
-        // Interpreter fallback: per environment, identical to the scalar
-        // path (no batch counters — nothing was batched).
-        let mut rels = Vec::with_capacity(envs.len());
-        for &env in envs {
-            let rel = eval_query_stats(
-                self.shared.db,
-                q,
-                env,
-                EvalOptions::default(),
-                &mut self.eval,
-            )?;
-            rels.push(Rc::new(rel));
-        }
-        Ok(rels)
-    }
-}
-
-/// Trace reconstruction is arena-only: the streaming sink never traces
-/// (the materializing fallback handles traced publishes).
-impl BatchWorker<'_, Document> {
-    /// Reconstructs the scalar path's pre-order trace from the finished
-    /// window fragment: indexed paths from per-level same-tag sibling
-    /// counts, provenance from the map filled at element creation.
-    fn build_trace(&self, window: &[Root]) -> Vec<TraceEntry> {
-        let mut entries = Vec::new();
-        let mut path: Vec<String> = Vec::new();
-        let mut counts: Vec<HashMap<String, usize>> = vec![sibling_seed(window)];
-        self.walk_trace(self.doc.root(), &mut path, &mut counts, &mut entries);
-        entries
-    }
-
-    fn walk_trace(
-        &self,
-        node: xvc_xml::NodeId,
-        path: &mut Vec<String>,
-        counts: &mut Vec<HashMap<String, usize>>,
-        entries: &mut Vec<TraceEntry>,
-    ) {
-        for &child in self.doc.children(node) {
-            let Some(tag) = self.doc.name(child) else {
-                continue;
-            };
-            let level = counts.last_mut().expect("counts is never empty");
-            let n = level.entry(tag.to_owned()).or_insert(0);
-            *n += 1;
-            path.push(format!("{tag}[{n}]"));
-            counts.push(HashMap::new());
-            if let Some((vid, env)) = self.prov.get(&child) {
-                entries.push(TraceEntry {
-                    path: format!("/{}", path.join("/")),
-                    view: *vid,
-                    env: (**env).clone(),
-                });
-            }
-            self.walk_trace(child, path, counts, entries);
-            path.pop();
-            counts.pop();
-        }
-    }
-}
-
-/// Per-window publishing state of the scalar reference walk: its own
-/// builder, counters, trace slice and result memo (memoization is
-/// window-scoped so statistics cannot depend on how windows are spread
-/// over threads).
-struct Worker<'a> {
-    shared: &'a Shared<'a>,
-    builder: TreeBuilder,
-    stats: PublishStats,
-    eval: EvalStats,
-    trace: Vec<TraceEntry>,
-    /// Indexed path segments of currently open elements.
-    path: Vec<String>,
-    /// Per open level: same-tag sibling counts emitted so far (the
-    /// window's base level is the first entry).
-    sibling_counts: Vec<HashMap<String, usize>>,
-    /// [`memo_key`] → relation.
-    memo: HashMap<String, Rc<Relation>>,
-}
-
-impl<'a> Worker<'a> {
-    fn new(shared: &'a Shared<'a>, seed_counts: HashMap<String, usize>) -> Self {
-        Worker {
-            shared,
-            builder: TreeBuilder::new(),
-            stats: PublishStats::default(),
-            eval: EvalStats::default(),
-            trace: Vec::new(),
-            path: Vec::new(),
-            sibling_counts: vec![seed_counts],
-            memo: HashMap::new(),
-        }
-    }
-
-    /// Executes a node's tag query (or guard probe): through its cached
-    /// prepared plan and the result memo when available, else through the
-    /// interpreter.
-    fn run_tag_query(
-        &mut self,
-        vid: ViewNodeId,
-        role: Role,
-        q: &SelectQuery,
-        env: &ParamEnv,
-    ) -> Result<Rc<Relation>> {
-        let plan_key = (vid.index() as u32, role);
-        if self.shared.use_plans {
-            if let Some(PlanEntry::Ready(plan)) = self.shared.plans.get(&plan_key) {
-                let mut key = String::new();
-                if memo_key(&mut key, plan_key, plan.slots(), env) {
-                    if let Some(hit) = self.memo.get(&key) {
-                        self.stats.memo_hits += 1;
-                        return Ok(Rc::clone(hit));
-                    }
-                    let rel = Rc::new(plan.execute_stats(self.shared.db, env, &mut self.eval)?);
-                    self.stats.memo_misses += 1;
-                    if self.memo.len() < MEMO_CAP {
-                        self.memo.insert(key, Rc::clone(&rel));
-                    }
-                    return Ok(rel);
-                }
-                return Ok(Rc::new(plan.execute_stats(
+        let Some(PlanEntry::Ready(plan)) = self.shared.plans.get(&plan_key) else {
+            let mut rels = Vec::with_capacity(envs.len());
+            for &env in envs {
+                let rel = eval_query_stats(
                     self.shared.db,
+                    q,
                     env,
+                    EvalOptions::default(),
                     &mut self.eval,
-                )?));
+                )?;
+                rels.push(Rc::new(rel));
+            }
+            return Ok(rels);
+        };
+        let mut out: Vec<Option<Rc<Relation>>> = vec![None; envs.len()];
+        // env index → slot in `pending` whose result it shares.
+        let mut share: Vec<usize> = vec![usize::MAX; envs.len()];
+        let mut pending: Vec<&ParamEnv> = Vec::new();
+        // memo key → (pending slot of its first execution, whether that
+        // execution will be inserted into the memo).
+        let mut in_flight: HashMap<String, (usize, bool)> = HashMap::new();
+        let mut planned_inserts = 0usize;
+        let mut key = String::new();
+        for (i, &env) in envs.iter().enumerate() {
+            // Unresolvable slots bypass the memo, exactly like the
+            // reference walk (the execution itself reports the unbound
+            // parameter, if the plan reaches it).
+            if !memo_key(&mut key, plan_key, plan.slots(), env) {
+                share[i] = pending.len();
+                pending.push(env);
+            } else if let Some(hit) = self.memo.get(&key) {
+                self.stats.memo_hits += 1;
+                out[i] = Some(Rc::clone(hit));
+            } else if let Some(&(slot, will_insert)) = in_flight.get(&key) {
+                // The reference would find the first execution's insert
+                // (hit) — or, past the cap, miss and re-execute; the
+                // engine work is shared either way, only the counter
+                // differs.
+                if will_insert {
+                    self.stats.memo_hits += 1;
+                } else {
+                    self.stats.memo_misses += 1;
+                }
+                share[i] = slot;
+            } else {
+                self.stats.memo_misses += 1;
+                let will_insert = self.memo.len() + planned_inserts < MEMO_CAP;
+                if will_insert {
+                    planned_inserts += 1;
+                }
+                in_flight.insert(key.clone(), (pending.len(), will_insert));
+                share[i] = pending.len();
+                pending.push(env);
             }
         }
-        Ok(Rc::new(eval_query_stats(
-            self.shared.db,
-            q,
-            env,
-            EvalOptions::default(),
-            &mut self.eval,
-        )?))
-    }
-
-    /// Opens an element, maintaining the indexed path and trace.
-    fn open(&mut self, tag: &str, vid: ViewNodeId, env: &ParamEnv) {
-        self.builder.open(tag);
-        self.stats.elements += 1;
-        let level = self
-            .sibling_counts
-            .last_mut()
-            .expect("sibling_counts is never empty");
-        let n = level.entry(tag.to_owned()).or_insert(0);
-        *n += 1;
-        self.path.push(format!("{tag}[{n}]"));
-        self.sibling_counts.push(HashMap::new());
-        if self.shared.tracing {
-            self.trace.push(TraceEntry {
-                path: format!("/{}", self.path.join("/")),
-                view: vid,
-                env: env.clone(),
-            });
-        }
-    }
-
-    fn close(&mut self) {
-        self.builder.close();
-        self.path.pop();
-        self.sibling_counts.pop();
-    }
-
-    fn emit_attr(&mut self, name: &str, value: String) {
-        self.builder.attr(name, value);
-        self.stats.attributes += 1;
-    }
-
-    fn emit_static_attrs(&mut self, vid: ViewNodeId) {
-        let node = self.shared.tree.node(vid).expect("caller validated vid");
-        for (k, v) in node.static_attrs.clone() {
-            self.emit_attr(&k, v);
-        }
-    }
-
-    /// Emits projected tuple columns as attributes (see [`project_attrs`]).
-    fn emit_tuple_attrs(
-        &mut self,
-        attrs: &AttrProjection,
-        columns: &[String],
-        values: &[xvc_rel::Value],
-    ) {
-        for (c, v) in project_attrs(attrs, columns, values) {
-            self.emit_attr(c, v.render());
-        }
-    }
-
-    /// Publishes one already-guarded element instance: the entry point of a
-    /// window's root instances (guards of root children run in the root
-    /// pass).
-    fn emit_instance(
-        &mut self,
-        vid: ViewNodeId,
-        env: &ParamEnv,
-        tuple: Option<&NamedTuple>,
-    ) -> Result<()> {
-        let tree = self.shared.tree;
-        let node = tree.node(vid).expect("non-root id");
-
-        if let Some(var) = &node.context_tuple_of {
-            self.open(&node.tag, vid, env);
-            self.emit_static_attrs(vid);
-            let mut child_env = env.clone();
-            if let Some(t) = env.get(var) {
-                let t = t.clone();
-                self.emit_tuple_attrs(&node.attrs.clone(), &t.columns, &t.values);
-                if !node.bv.is_empty() {
-                    child_env.insert(node.bv.clone(), t);
+        if !pending.is_empty() {
+            let batch = plan.execute_batch_stats(self.shared.db, &pending, &mut self.eval)?;
+            self.stats.batches_executed += 1;
+            self.stats.bindings_per_batch_max =
+                self.stats.bindings_per_batch_max.max(pending.len());
+            self.stats.rows_regrouped += batch.total_rows();
+            let rels: Vec<Rc<Relation>> = batch.into_relations().into_iter().map(Rc::new).collect();
+            for (key, (slot, will_insert)) in in_flight {
+                if will_insert {
+                    self.memo.insert(key, Rc::clone(&rels[slot]));
                 }
             }
-            for &child in tree.children(vid) {
-                self.publish_node(child, &child_env)?;
-            }
-            self.close();
-            return Ok(());
-        }
-
-        match (&node.query, tuple) {
-            (Some(_), Some(t)) => {
-                self.open(&node.tag, vid, env);
-                self.emit_static_attrs(vid);
-                self.emit_tuple_attrs(&node.attrs.clone(), &t.columns, &t.values);
-                if !tree.children(vid).is_empty() {
-                    let mut child_env = env.clone();
-                    child_env.insert(node.bv.clone(), t.clone());
-                    for &child in tree.children(vid) {
-                        self.publish_node(child, &child_env)?;
-                    }
+            for (o, &slot) in out.iter_mut().zip(&share) {
+                if o.is_none() {
+                    *o = Some(Rc::clone(&rels[slot]));
                 }
-                self.close();
-            }
-            (None, _) => {
-                self.open(&node.tag, vid, env);
-                self.emit_static_attrs(vid);
-                for &child in tree.children(vid) {
-                    self.publish_node(child, env)?;
-                }
-                self.close();
-            }
-            (Some(_), None) => unreachable!("query-node roots always carry a tuple"),
-        }
-        Ok(())
-    }
-
-    /// Full per-node logic (guard, context copy, literal, query) for
-    /// non-root-level descendants.
-    fn publish_node(&mut self, vid: ViewNodeId, env: &ParamEnv) -> Result<()> {
-        let tree = self.shared.tree;
-        let node = tree
-            .node(vid)
-            .expect("publish_node is never called on root");
-
-        // Emission guard: `SELECT 1 WHERE guard` over the current bindings.
-        if let Some(guard) = &node.guard {
-            let probe = guard_probe(guard);
-            self.stats.queries_run += 1;
-            if self
-                .run_tag_query(vid, Role::Guard, &probe, env)?
-                .is_empty()
-            {
-                return Ok(());
             }
         }
-
-        if node.context_tuple_of.is_some() || node.query.is_none() {
-            return self.emit_instance(vid, env, None);
-        }
-
-        let query = node.query.as_ref().expect("query node");
-        let rel = self.run_tag_query(vid, Role::Tag, query, env)?;
-        self.stats.queries_run += 1;
-        self.stats.tuples_fetched += rel.len();
-        for i in 0..rel.len() {
-            self.emit_instance(vid, env, Some(&rel.tuple(i)))?;
-        }
-        Ok(())
+        Ok(out
+            .into_iter()
+            .map(|r| r.expect("every env is memo-served or batched"))
+            .collect())
     }
 }
 
@@ -1765,7 +1458,7 @@ impl<'a> Worker<'a> {
 /// reads. Returns `false` (memo bypass) when a slot cannot be resolved —
 /// the execution then reports the unbound parameter itself. Callers reuse
 /// one buffer across bindings and copy it only into memo entries.
-fn memo_key(
+pub(crate) fn memo_key(
     key: &mut String,
     (node, role): PlanKey,
     slots: &[(String, String)],
@@ -1784,9 +1477,9 @@ fn memo_key(
 
 /// Projects tuple columns into attribute `(name, value)` pairs: NULLs
 /// omitted, first occurrence wins on duplicate column names. Both the
-/// scalar and the batched worker emit through this, so their attribute
-/// output cannot drift apart.
-fn project_attrs<'c>(
+/// publish walk and the reference walk emit through this, so their
+/// attribute output cannot drift apart.
+pub(crate) fn project_attrs<'c>(
     attrs: &'c AttrProjection,
     columns: &'c [String],
     values: &'c [xvc_rel::Value],
@@ -1819,6 +1512,7 @@ fn project_attrs<'c>(
 mod tests {
     use super::*;
     use crate::engine::Engine;
+    use crate::reference::Reference;
     use crate::schema_tree::ViewNode;
     use xvc_rel::{parse_query, ColumnDef, ColumnType, TableSchema, Value};
 
@@ -2241,16 +1935,8 @@ mod tests {
         // to the engine counters; the batched path shares the document but
         // reports its own (smaller) engine work, so it is compared
         // separately in `batched_and_scalar_paths_agree`.
-        let prepared = Engine::new(&tree)
-            .batched(false)
-            .session()
-            .publish(&db)
-            .unwrap();
-        let interpreted = Engine::new(&tree)
-            .prepared(false)
-            .session()
-            .publish(&db)
-            .unwrap();
+        let prepared = Reference::prepared(&tree).publish(&db).unwrap();
+        let interpreted = Reference::interpreted(&tree).publish(&db).unwrap();
         assert_eq!(prepared.document.to_xml(), interpreted.document.to_xml());
         assert_eq!(prepared.eval, interpreted.eval);
         assert_eq!(interpreted.stats.plans_prepared, 0);
@@ -2260,10 +1946,8 @@ mod tests {
     fn batched_and_scalar_paths_agree() {
         let tree = view();
         let db = db();
-        let scalar = Engine::new(&tree)
-            .batched(false)
+        let scalar = Reference::prepared(&tree)
             .traced(true)
-            .session()
             .publish(&db)
             .unwrap();
         let batched = Engine::new(&tree)
@@ -2288,26 +1972,64 @@ mod tests {
 
     #[test]
     fn batched_interpreter_matches_scalar_interpreter_exactly() {
-        // Without prepared plans there is nothing to batch: the frontier
-        // walk degenerates to per-parent interpretation and even the
-        // engine counters must be identical.
-        let tree = view();
-        let db = db();
-        let scalar = Engine::new(&tree)
-            .prepared(false)
-            .batched(false)
+        // The hotel node's EXISTS puts an aggregate in a WHERE clause,
+        // which the plan compiler rejects; the interpreter never evaluates
+        // it, as the OR's left side holds on every row. Without
+        // a plan there is nothing to batch: the frontier walk degenerates
+        // to per-parent interpretation and even the engine counters must
+        // be identical to the reference walk's.
+        let mut tree = SchemaTree::new();
+        let metro = tree
+            .add_root_node(ViewNode::new(
+                1,
+                "metro",
+                "m",
+                parse_query("SELECT metroid, metroname FROM metroarea").unwrap(),
+            ))
+            .unwrap();
+        tree.add_child(
+            metro,
+            ViewNode::new(
+                3,
+                "hotel",
+                "h",
+                parse_query(
+                    "SELECT * FROM hotel WHERE metro_id = $m.metroid AND (starrating > 0 \
+                     OR EXISTS (SELECT 1 FROM metroarea WHERE SUM(metroid) > 1))",
+                )
+                .unwrap(),
+            ),
+        )
+        .unwrap();
+        let db = wide_db();
+        let batched = Engine::new(&tree)
+            .traced(true)
             .session()
             .publish(&db)
             .unwrap();
-        let batched = Engine::new(&tree)
-            .prepared(false)
-            .session()
+        assert_eq!(
+            batched.stats.plan_prepare_failures, 1,
+            "{:?}",
+            batched.stats
+        );
+        assert_eq!(batched.stats.batches_executed, 0);
+        assert!(batched.document.to_xml().contains("drake"));
+        let scalar = Reference::prepared(&tree)
+            .traced(true)
             .publish(&db)
             .unwrap();
         assert_eq!(batched.document.to_xml(), scalar.document.to_xml());
         assert_eq!(batched.eval, scalar.eval);
         assert_eq!(batched.stats, scalar.stats);
-        assert_eq!(batched.stats.batches_executed, 0);
+        let (bt, st) = (batched.trace.unwrap(), scalar.trace.unwrap());
+        assert_eq!(bt.entries.len(), st.entries.len());
+        for (b, s) in bt.entries.iter().zip(&st.entries) {
+            assert_eq!((&b.path, b.view, &b.env), (&s.path, s.view, &s.env));
+        }
+        // And the pure interpreter agrees, engine counters included.
+        let interpreted = Reference::interpreted(&tree).publish(&db).unwrap();
+        assert_eq!(batched.document.to_xml(), interpreted.document.to_xml());
+        assert_eq!(batched.eval, interpreted.eval);
     }
 
     #[test]
@@ -2350,26 +2072,47 @@ mod tests {
             .session()
             .publish(&db)
             .unwrap();
-        let unbounded = Engine::new(&tree)
-            .bounded(false)
+        let scalar = Reference::prepared(&tree)
             .traced(true)
-            .session()
             .publish(&db)
             .unwrap();
-        assert_eq!(bounded.document.to_xml(), unbounded.document.to_xml());
-        let (bt, ut) = (bounded.trace.unwrap(), unbounded.trace.unwrap());
-        assert_eq!(bt.entries.len(), ut.entries.len());
-        for (b, u) in bt.entries.iter().zip(&ut.entries) {
-            assert_eq!(b.path, u.path);
-            assert_eq!(b.env, u.env);
+        assert_eq!(bounded.document.to_xml(), scalar.document.to_xml());
+        let (bt, st) = (bounded.trace.unwrap(), scalar.trace.unwrap());
+        assert_eq!(bt.entries.len(), st.entries.len());
+        for (b, s) in bt.entries.iter().zip(&st.entries) {
+            assert_eq!(b.path, s.path);
+            assert_eq!(b.env, s.env);
         }
-        assert_eq!(bounded.stats, unbounded.stats);
+        assert_eq!(bounded.stats.without_batch_counters(), scalar.stats);
+        assert_eq!(bounded.stats.batches_executed, 2);
+        assert_eq!(bounded.eval.hash_join_builds, 0, "{:?}", bounded.eval);
+
+        // What the bound saves, at the plan level: each hotel batch rerun
+        // under the one binding the publish gave it, once with the plan
+        // the engine caches (bound baked in) and once without the bound.
         // Scans and query counts agree; the shared pipeline's regroup
         // hash builds (one per batch) are what the bound saves.
-        assert_eq!(bounded.eval.queries, unbounded.eval.queries);
-        assert_eq!(bounded.eval.rows_scanned, unbounded.eval.rows_scanned);
-        assert_eq!(bounded.eval.hash_join_builds, 0, "{:?}", bounded.eval);
-        assert_eq!(unbounded.eval.hash_join_builds, 2, "{:?}", unbounded.eval);
+        let catalog = db.catalog();
+        let bounds = crate::analyze_view_bounds(&tree, &catalog);
+        let (mut with_bound, mut without) = (EvalStats::default(), EvalStats::default());
+        for e in bt.entries.iter().filter(|e| e.path.contains("hotel")) {
+            let node = tree.node(e.view).unwrap();
+            let plan = xvc_rel::prepare(node.query.as_ref().unwrap(), &catalog).unwrap();
+            let bound = bounds.batch_bound(e.view);
+            assert!(bound.at_most_one(), "{bound:?}");
+            let envs = [&e.env];
+            let b = plan
+                .clone()
+                .with_binding_bound(bound)
+                .execute_batch_stats(&db, &envs, &mut with_bound)
+                .unwrap();
+            let u = plan.execute_batch_stats(&db, &envs, &mut without).unwrap();
+            assert_eq!(b.into_relations(), u.into_relations());
+        }
+        assert_eq!(with_bound.queries, without.queries);
+        assert_eq!(with_bound.rows_scanned, without.rows_scanned);
+        assert_eq!(with_bound.hash_join_builds, 0, "{with_bound:?}");
+        assert_eq!(without.hash_join_builds, 2, "{without:?}");
     }
 
     #[test]
@@ -2417,13 +2160,13 @@ mod tests {
         // ... but never reaches the engine: the root query, then one
         // hotel and one home batch for the single window.
         assert_eq!(p.eval.queries, 1 + 1 + 1);
-        // Document content identical to the interpreter's.
-        let i = Engine::new(&t)
-            .prepared(false)
-            .session()
-            .publish(&database)
-            .unwrap();
+        // Document content identical to the interpreter's, and to the
+        // reference walk's, which sees the same memo hit.
+        let i = Reference::interpreted(&t).publish(&database).unwrap();
         assert_eq!(p.document.to_xml(), i.document.to_xml());
+        let r = Reference::prepared(&t).publish(&database).unwrap();
+        assert_eq!(p.document.to_xml(), r.document.to_xml());
+        assert_eq!(p.stats.without_batch_counters(), r.stats);
     }
 
     #[test]
@@ -2755,12 +2498,7 @@ mod tests {
             assert_eq!(p.stats.batches_executed, 2);
             assert_eq!(p.stats.bindings_per_batch_max, 2);
             // Scalar parity on everything that is not batch-only.
-            let s = Engine::new(&t)
-                .batched(false)
-                .parallel(threads)
-                .session()
-                .publish(&database)
-                .unwrap();
+            let s = Reference::prepared(&t).publish(&database).unwrap();
             assert_eq!(p.stats.without_batch_counters(), s.stats);
             assert_eq!(p.document.to_xml(), s.document.to_xml());
         }
@@ -2786,12 +2524,7 @@ mod tests {
         assert_eq!(par.stats, seq.stats);
         assert_eq!(par.eval, seq.eval);
         assert_eq!(par.document.to_xml(), seq.document.to_xml());
-        let s = Engine::new(&t)
-            .batched(false)
-            .parallel(4)
-            .session()
-            .publish(&wide)
-            .unwrap();
+        let s = Reference::prepared(&t).publish(&wide).unwrap();
         assert_eq!(par.stats.without_batch_counters(), s.stats);
         assert_eq!(par.document.to_xml(), s.document.to_xml());
     }

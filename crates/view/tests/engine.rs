@@ -1,13 +1,15 @@
 //! Engine/Session integration tests: parallel evaluation is
 //! deterministic, the shared plan cache warms and invalidates correctly
 //! (including under concurrent sessions), the per-publish memo never
-//! leaks stale results across database mutations, the interpreted path
-//! agrees with the prepared path, and mid-flight DDL/DML never yields a
-//! stale or torn document.
+//! leaks stale results across database mutations, the publish walk
+//! agrees with the tuple-at-a-time reference walk (prepared and
+//! interpreted), and mid-flight DDL/DML never yields a stale or torn
+//! document.
 
 use std::sync::RwLock;
 
 use xvc_rel::{parse_query, ColumnDef, ColumnType, Database, IndexKind, TableSchema, Value};
+use xvc_view::reference::Reference;
 use xvc_view::{Engine, PublishStats, SchemaTree, ViewNode, ROOT_WINDOW};
 use xvc_xml::documents_equal_unordered;
 
@@ -235,16 +237,8 @@ fn interpreted_path_matches_prepared_path() {
     let db = db();
     // Scalar prepared execution: the batched path does deliberately
     // different (less) engine work and is checked separately below.
-    let prepared = Engine::new(&v)
-        .batched(false)
-        .session()
-        .publish(&db)
-        .unwrap();
-    let interpreted = Engine::new(&v)
-        .prepared(false)
-        .session()
-        .publish(&db)
-        .unwrap();
+    let prepared = Reference::prepared(&v).publish(&db).unwrap();
+    let interpreted = Reference::interpreted(&v).publish(&db).unwrap();
 
     assert_eq!(
         prepared.document.to_pretty_xml(),
@@ -263,13 +257,7 @@ fn batched_path_is_identical_to_scalar_path() {
     let v = view();
     for (db, metros) in parallel_fixtures() {
         for threads in [1, 4] {
-            let scalar = Engine::new(&v)
-                .batched(false)
-                .traced(true)
-                .parallel(threads)
-                .session()
-                .publish(&db)
-                .unwrap();
+            let scalar = Reference::prepared(&v).traced(true).publish(&db).unwrap();
             let batched = Engine::new(&v)
                 .traced(true)
                 .parallel(threads)
@@ -517,21 +505,29 @@ fn streamed_publish_is_byte_identical_to_materialized() {
 }
 
 #[test]
-fn streamed_publish_matches_on_scalar_and_traced_fallbacks() {
-    let db = db();
-    let expected = Engine::new(&view())
-        .session()
-        .publish(&db)
-        .unwrap()
-        .document
-        .to_xml();
-    for engine in [
-        Engine::new(&view()).batched(false),
-        Engine::new(&view()).traced(true),
-    ] {
-        let mut out = Vec::new();
-        engine.session().publish_to(&db, &mut out).unwrap();
-        assert_eq!(String::from_utf8(out).unwrap(), expected);
+fn streamed_publish_is_the_same_walk_whatever_the_engine_records() {
+    // A streamed publish records neither a trace nor a splice index and
+    // runs its windows in order on the calling thread, so tracing,
+    // incremental and parallel engines stream the same bytes with the
+    // same counters as a plain materializing publish.
+    for (db, metros) in parallel_fixtures() {
+        let expected = Engine::new(&view()).session().publish(&db).unwrap();
+        for engine in [
+            Engine::new(&view()).traced(true),
+            Engine::new(&view()).incremental(true),
+            Engine::new(&view()).parallel(3),
+        ] {
+            let mut out = Vec::new();
+            let streamed = engine.session().publish_to(&db, &mut out).unwrap();
+            let at = format!("{metros} metros, {engine:?}");
+            assert_eq!(
+                String::from_utf8(out).unwrap(),
+                expected.document.to_xml(),
+                "{at}"
+            );
+            assert_eq!(streamed.stats, expected.stats, "{at}");
+            assert_eq!(streamed.eval, expected.eval, "{at}");
+        }
     }
 }
 

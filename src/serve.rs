@@ -67,11 +67,15 @@ use crate::view::{Engine, PublishStats, Published};
 /// shutdown flag. Bounds shutdown latency for idle keep-alive connections.
 const READ_POLL: Duration = Duration::from_millis(200);
 
-/// Upper bound on the request head (request line + headers).
-const MAX_HEAD: usize = 16 * 1024;
+/// Upper bound on the request head (request line + headers, line breaks
+/// included). The head reader never buffers more: a longer head gets a
+/// 431 and the connection is closed.
+pub const MAX_HEAD: usize = 16 * 1024;
 
-/// Upper bound on a request body (`/dml`, `/ddl` SQL).
-const MAX_BODY: usize = 1024 * 1024;
+/// Upper bound on a request body (`/dml`, `/ddl` SQL). A larger
+/// `Content-Length` gets a 413 and the connection is closed before any of
+/// the body is read.
+pub const MAX_BODY: usize = 1024 * 1024;
 
 /// Chunking buffer for streamed responses: bytes queue here and go out as
 /// one HTTP/1.1 chunk each time the buffer fills.
@@ -282,8 +286,15 @@ fn handle_conn(state: &Arc<State>, stream: TcpStream) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
     loop {
-        let Some(request) = read_request(&mut reader, &state.running)? else {
-            return Ok(()); // clean close (EOF, or idle at shutdown)
+        let request = match read_request(&mut reader, &state.running) {
+            Ok(Some(request)) => request,
+            Ok(None) => return Ok(()), // clean close (EOF, or idle at shutdown)
+            Err(RequestError::TooLarge(status, message)) => {
+                // The rest of the request is never read: answer, then close.
+                state.errors.fetch_add(1, Ordering::SeqCst);
+                return write_response(&mut out, &Response::error(status, message), false);
+            }
+            Err(RequestError::Io(e)) => return Err(e),
         };
         state.requests.fetch_add(1, Ordering::SeqCst);
         if request.path == "/publish" && matches!(request.method.as_str(), "GET" | "POST") {
@@ -324,33 +335,45 @@ fn handle_conn(state: &Arc<State>, stream: TcpStream) -> io::Result<()> {
     }
 }
 
+/// Why a request could not be read.
+enum RequestError {
+    /// A limit was exceeded: answer with this status, then close.
+    TooLarge(u16, &'static str),
+    /// Malformed or broken: drop the connection.
+    Io(io::Error),
+}
+
+impl From<io::Error> for RequestError {
+    fn from(e: io::Error) -> Self {
+        RequestError::Io(e)
+    }
+}
+
 /// Reads one request head + body. `Ok(None)` means "close the connection
 /// quietly": EOF between requests, or shutdown while idle. Socket-read
 /// timeouts are retried while the server runs so keep-alive connections
-/// can sit idle without pinning an error path.
+/// can sit idle without pinning an error path. At most [`MAX_HEAD`] head
+/// bytes are ever buffered, and a body over [`MAX_BODY`] is refused
+/// before any of it is read.
 fn read_request(
     reader: &mut BufReader<TcpStream>,
     running: &AtomicBool,
-) -> io::Result<Option<Request>> {
-    let Some(request_line) = read_head_line(reader, running)? else {
+) -> Result<Option<Request>, RequestError> {
+    let mut head_left = MAX_HEAD;
+    let Some(request_line) = read_head_line(reader, running, &mut head_left)? else {
         return Ok(None);
     };
     let mut parts = request_line.split_whitespace();
     let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
-        return Err(io::Error::other("malformed request line"));
+        return Err(io::Error::other("malformed request line").into());
     };
     let (method, target) = (method.to_owned(), target.to_owned());
     let mut content_length = 0usize;
     let mut close = false;
-    let mut head = request_line.len();
     loop {
-        let Some(line) = read_head_line(reader, running)? else {
+        let Some(line) = read_head_line(reader, running, &mut head_left)? else {
             return Ok(None);
         };
-        head += line.len();
-        if head > MAX_HEAD {
-            return Err(io::Error::other("request head too large"));
-        }
         if line.is_empty() {
             break;
         }
@@ -369,7 +392,7 @@ fn read_request(
         }
     }
     if content_length > MAX_BODY {
-        return Err(io::Error::other("request body too large"));
+        return Err(RequestError::TooLarge(413, "request body too large"));
     }
     let Some(body) = read_body(reader, content_length, running)? else {
         return Ok(None);
@@ -387,24 +410,38 @@ fn read_request(
     }))
 }
 
-/// One CRLF-terminated head line, timeouts retried while `running`.
-/// `Ok(None)`: EOF with nothing buffered, or shutdown.
+/// One CRLF-terminated head line, timeouts retried while `running`. The
+/// line, its break included, is charged to `head_left`, and no more than
+/// that is ever read: a line that would exceed it is
+/// [`RequestError::TooLarge`]. `Ok(None)`: EOF with nothing buffered, or
+/// shutdown.
 fn read_head_line(
     reader: &mut BufReader<TcpStream>,
     running: &AtomicBool,
-) -> io::Result<Option<String>> {
+    head_left: &mut usize,
+) -> Result<Option<String>, RequestError> {
+    let too_large = || RequestError::TooLarge(431, "request head too large");
     let mut line = String::new();
     loop {
-        match reader.read_line(&mut line) {
+        let Some(left) = head_left.checked_sub(line.len()).filter(|&n| n > 0) else {
+            return Err(too_large());
+        };
+        match reader.by_ref().take(left as u64).read_line(&mut line) {
             Ok(0) => return Ok(None),
-            Ok(_) => return Ok(Some(line.trim_end_matches(['\r', '\n']).to_owned())),
+            // Without a line break, the read stopped at the budget or at
+            // EOF; only the budget can leave `line` at full length.
+            Ok(_) if line.ends_with('\n') || line.len() < *head_left => {
+                *head_left -= line.len();
+                return Ok(Some(line.trim_end_matches(['\r', '\n']).to_owned()));
+            }
+            Ok(_) => return Err(too_large()),
             Err(e) if is_timeout(&e) => {
                 if !running.load(Ordering::SeqCst) {
                     return Ok(None);
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::ConnectionReset => return Ok(None),
-            Err(e) => return Err(e),
+            Err(e) => return Err(e.into()),
         }
     }
 }
@@ -444,6 +481,8 @@ fn write_response(out: &mut TcpStream, response: &Response, keep_alive: bool) ->
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        413 => "Content Too Large",
+        431 => "Request Header Fields Too Large",
         _ => "Internal Server Error",
     };
     let body = response.body.as_bytes();

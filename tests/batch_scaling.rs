@@ -17,10 +17,12 @@
 //!
 //! The gates are deterministic counters, not times: rows scanned per
 //! database row, batches per publish, re-emitted elements per delta, and
-//! byte-identity with the per-binding reference publisher.
+//! byte-identity with the per-binding reference walk
+//! (`xvc_view::reference`).
 
 use xvc::core::paper_fixtures::figure1_view;
 use xvc::prelude::*;
+use xvc::view::reference::Reference;
 use xvc::view::ROOT_WINDOW;
 use xvc::xslt::parse::FIGURE4_XSLT;
 use xvc_bench::synthetic::{all_regions_view, needle_database};
@@ -66,11 +68,7 @@ fn composed_figure4_scans_each_row_at_most_twice_at_every_scale() {
         let db = generate(&WorkloadConfig::scale(scale));
         let tree = composed(&db.catalog());
         let batched = Engine::new(&tree).session().publish(&db).unwrap();
-        let reference = Engine::new(&tree)
-            .batched(false)
-            .session()
-            .publish(&db)
-            .unwrap();
+        let reference = Reference::prepared(&tree).publish(&db).unwrap();
         assert_eq!(
             batched.document.to_xml(),
             reference.document.to_xml(),
@@ -108,11 +106,7 @@ fn breadth_view_batches_once_per_window_at_every_scale() {
             .session()
             .publish_to(&db, &mut bytes)
             .unwrap();
-        let reference = Engine::new(&view)
-            .batched(false)
-            .session()
-            .publish(&db)
-            .unwrap();
+        let reference = Reference::prepared(&view).publish(&db).unwrap();
         let xml = published.document.to_xml();
         assert_eq!(
             String::from_utf8(bytes).unwrap(),

@@ -1,8 +1,8 @@
 //! Soundness of the static cardinality analysis: on randomized workloads
 //! the publisher's measured counters never exceed the statically
 //! predicted bounds (the analysis may overestimate, never undercount),
-//! and the bound-driven execution path produces documents byte-identical
-//! to the heuristic (unbounded) path — across the in-memory, paged, and
+//! and the bound-driven publish walk produces documents byte-identical to
+//! the tuple-at-a-time reference walk — across the in-memory, paged, and
 //! indexed storage backends.
 
 use proptest::prelude::*;
@@ -10,6 +10,7 @@ use proptest::test_runner::TestCaseError;
 use xvc::core::paper_fixtures::figure1_view;
 use xvc::prelude::*;
 use xvc::rel::{Backend, IndexKind};
+use xvc::view::reference::Reference;
 use xvc_bench::random_stylesheet::{random_stylesheet, StylesheetConfig};
 use xvc_bench::workload::{generate, WorkloadConfig};
 
@@ -60,7 +61,7 @@ fn presets() -> [StylesheetConfig; 3] {
 }
 
 /// Publishes `composed` against `db` and checks every measured counter
-/// against the static prediction, plus bounded-vs-heuristic identity.
+/// against the static prediction, plus identity with the reference walk.
 fn assert_bounds_sound(
     composed: &SchemaTree,
     db: &Database,
@@ -88,16 +89,20 @@ fn assert_bounds_sound(
         );
     }
     // Exactness: steering plans by the bounds must not change the
-    // document, byte for byte.
-    let heuristic = Engine::new(composed)
-        .bounded(false)
-        .session()
+    // document, byte for byte, nor any counter the reference walk keeps.
+    let reference = Reference::prepared(composed)
         .publish(db)
-        .expect("publish unbounded");
+        .expect("publish reference");
     prop_assert_eq!(
         bounded.document.to_xml(),
-        heuristic.document.to_xml(),
-        "{}: bound-driven plans diverged from the heuristic path",
+        reference.document.to_xml(),
+        "{}: bound-driven plans diverged from the reference walk",
+        context
+    );
+    prop_assert_eq!(
+        bounded.stats.without_batch_counters(),
+        reference.stats,
+        "{}: counters diverged from the reference walk",
         context
     );
     Ok(())
@@ -109,7 +114,7 @@ proptest! {
     /// ≥192 random workloads per run (64 cases × 3 generator presets):
     /// measured batch sizes and element counts never exceed the static
     /// cardinality bounds, and bound-driven plans are byte-identical to
-    /// the heuristic path — on the in-memory backend, the paged
+    /// the reference walk — on the in-memory backend, the paged
     /// (buffer-pool) backend, and an indexed copy of the instance.
     #[test]
     fn cardinality_bounds_sound_across_backends(

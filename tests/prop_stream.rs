@@ -2,9 +2,10 @@
 //! `Session::publish_to` must write exactly the bytes of
 //! `Document::to_xml()` (and `publish_pretty_to` those of
 //! `to_pretty_xml()`) — across generator presets and across the in-memory
-//! and paged storage backends. The streaming path shares the batched
-//! frontier walk but swaps the arena document for a per-window skeleton, so
-//! any drift between the two element stores shows up here as a byte diff.
+//! and paged storage backends. Both paths run the same frontier walk into
+//! the same per-window store and differ only in its drain (into the output
+//! document, or into the sink), so any drift between the two drains shows
+//! up here as a byte diff.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;

@@ -6,10 +6,10 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use xvc::prelude::*;
-use xvc::serve::Server;
+use xvc::serve::{Server, MAX_BODY, MAX_HEAD};
 
 fn guide_database() -> Database {
     let ddl = std::fs::read_to_string("examples/files/schema.sql").expect("schema.sql");
@@ -297,6 +297,93 @@ fn failed_multi_row_dml_leaves_doc_equal_to_a_fresh_publish() {
     assert_eq!(doc, fresh, "/doc drifted from the database");
     assert_eq!(fresh, expected, "the failed statement changed the database");
 
+    server.shutdown();
+    server.join();
+}
+
+/// Sends `bytes` on a fresh connection and waits (at most five seconds)
+/// for the server to close it; panics if it stays open. Returns whatever
+/// the server answered before closing.
+fn send_and_await_close(addr: std::net::SocketAddr, bytes: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    // The server may close before it has taken every byte.
+    let _ = stream.write_all(bytes);
+    let started = Instant::now();
+    let mut reply = Vec::new();
+    let mut buf = [0u8; 1024];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => reply.extend_from_slice(&buf[..n]),
+            // Closing with unread input resets the connection.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::ConnectionReset | std::io::ErrorKind::ConnectionAborted
+                ) =>
+            {
+                break
+            }
+            Err(e) => panic!("connection still open after {:?}: {e}", started.elapsed()),
+        }
+    }
+    String::from_utf8_lossy(&reply).into_owned()
+}
+
+/// `/healthz` and `/doc` still answer on a new connection, and `/doc` is
+/// current.
+fn assert_still_serving(server: &Server) {
+    let mut client = Client::connect(server.addr());
+    assert_eq!(
+        client.request("GET", "/healthz", ""),
+        (200, "ok\n".to_owned())
+    );
+    let (status, doc) = client.request("GET", "/doc", "");
+    assert_eq!(status, 200);
+    let (status, fresh) = client.request("GET", "/publish", "");
+    assert_eq!(status, 200);
+    assert_eq!(doc, fresh);
+}
+
+#[test]
+fn oversized_head_without_a_line_break_closes_the_connection() {
+    let db = guide_database();
+    let composed = guide_composed(&db);
+    let server =
+        Server::start(Engine::new(&composed), db, "127.0.0.1:0", 2).expect("server starts");
+    // A request line that never ends: the server must stop reading at
+    // the head limit instead of buffering for as long as bytes arrive.
+    let reply = send_and_await_close(server.addr(), &vec![b'a'; MAX_HEAD + 1024]);
+    assert!(
+        reply.is_empty() || reply.starts_with("HTTP/1.1 431 "),
+        "{reply}"
+    );
+    assert_still_serving(&server);
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn oversized_content_length_closes_without_reading_the_body() {
+    let db = guide_database();
+    let composed = guide_composed(&db);
+    let server =
+        Server::start(Engine::new(&composed), db, "127.0.0.1:0", 2).expect("server starts");
+    // No body follows the head: the connection closes only if the server
+    // refuses the length instead of waiting for the body.
+    let head = format!(
+        "POST /dml HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n",
+        MAX_BODY + 1
+    );
+    let reply = send_and_await_close(server.addr(), head.as_bytes());
+    assert!(
+        reply.is_empty() || reply.starts_with("HTTP/1.1 413 "),
+        "{reply}"
+    );
+    assert_still_serving(&server);
     server.shutdown();
     server.join();
 }
